@@ -19,6 +19,7 @@ from .abgroup import (
     minimal_nonneg_kernel,
     order,
     positive_kernel_vector,
+    rational_relations,
     smith_normal_form,
 )
 from .krull import (
@@ -86,6 +87,7 @@ from .zsm import (
     factorizations,
     is_minimal_zero_sum,
     length_set,
+    length_set_elasticity,
     minimal_zero_sum_vectors,
 )
 

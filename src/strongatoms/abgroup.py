@@ -4,6 +4,14 @@ Groups are presented as Z^r + Z/d_1 + ... + Z/d_k.  All arithmetic uses
 arbitrary-precision integers throughout; there is no fixed-width fast path,
 because Smith normal form intermediates can grow without bound.
 
+Questions about rational dependence are decided by ``rational_relations``,
+one fraction-free elimination on the free parts of a family: a family is
+Z-independent exactly when its free parts have no rational relation, since a
+rational relation, cleared of denominators and multiplied by the exponent of
+the torsion, kills the torsion part too.  Smith normal form remains behind
+``kernel_lattice``, the source of explicit Z-bases, which
+``positive_kernel_vector`` uses before its completion fallback.
+
 Congruence conditions coming from torsion components are reduced to pure
 integer kernels by appending one slack column with coefficient -d_j per
 torsion component.  The slack coordinates of a kernel vector are uniquely
@@ -84,9 +92,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(self.rows, nrows=self.ncols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -432,12 +437,58 @@ def kernel_lattice(group: FinGenAbelianGroup,
     return [vec[:m] for vec in matrix_kernel_basis(a)]
 
 
+def rational_relations(group: FinGenAbelianGroup,
+                       family: Seq[GroupElement]) -> list[tuple[int, ...]]:
+    """Basis of {x in Q^m : sum_i x_i * g_i has free part 0}, as primitive
+    integer vectors.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss 1968) on the matrix
+    whose columns are the free parts.  Every intermediate entry is a minor of
+    that matrix, so each division by the previous pivot is exact and entries
+    stay polynomially bounded.  At the end each pivot row holds the last
+    pivot d in its own pivot column and 0 in the other pivot columns, so each
+    non-pivot column f gives the relation with d at f and minus row i's entry
+    at row i's pivot column, made primitive with a positive entry at f.
+    """
+    for g in family:
+        if not group.same_presentation(g.group):
+            raise DimensionMismatch("family element from a different group")
+    m = len(family)
+    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(m):
+        k = len(pivots)
+        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[k], rows[hit] = rows[hit], rows[k]
+        top = rows[k]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    sign = 1 if prev > 0 else -1
+    relations = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        vec = [0] * m
+        vec[f] = sign * prev
+        for row, c in zip(rows, pivots):
+            vec[c] = -sign * row[f]
+        common = math.gcd(*vec)
+        relations.append(tuple(x // common for x in vec))
+    return relations
+
+
 def is_z_independent(group: FinGenAbelianGroup,
                      family: Seq[GroupElement]) -> bool:
     """True iff the family has no nonzero integer relation; empty families qualify."""
-    if not family:
-        return True
-    return not kernel_lattice(group, family)
+    return not rational_relations(group, family)
 
 
 def positive_kernel_vector(group: FinGenAbelianGroup,

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import krull, zsm
 from .abgroup import DEFAULT_NODE_BUDGET
@@ -97,10 +96,18 @@ def _atoms_payload(spec, labels, budget):
             "certificate": dict(atoms.certificate)}
 
 
-def _factor_payload(spec, labels, seq, budget):
+def _factorizations(spec, seq, budget):
+    """Atoms, factorizations of seq, its sorted length set and its elasticity
+    (a fraction string, or None without factorizations)."""
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = zsm.factorizations(seq, atoms, budget=budget)
     lengths = sorted({len(f) for f in facs})
+    elasticity = str(zsm.length_set_elasticity(lengths)) if facs else None
+    return atoms, facs, lengths, elasticity
+
+
+def _factor_payload(spec, labels, seq, budget):
+    atoms, facs, lengths, elasticity = _factorizations(spec, seq, budget)
     payload = {
         "sequence": _seq_dict(seq, labels),
         "factorizations": [
@@ -112,15 +119,15 @@ def _factor_payload(spec, labels, seq, budget):
         "count": len(facs),
         "lengths": lengths,
     }
-    if facs:
-        payload["elasticity"] = str(Fraction(max(lengths), min(lengths)) if lengths != [0] else Fraction(1))
+    if elasticity is not None:
+        payload["elasticity"] = elasticity
     return payload
 
 
 def _lengths_payload(spec, labels, seq, budget):
-    payload = _factor_payload(spec, labels, seq, budget)
-    return {"sequence": payload["sequence"], "lengths": payload["lengths"],
-            "elasticity": payload.get("elasticity")}
+    _, _, lengths, elasticity = _factorizations(spec, seq, budget)
+    return {"sequence": _seq_dict(seq, labels), "lengths": lengths,
+            "elasticity": elasticity}
 
 
 def _absirred_payload(spec, labels, seq, budget, nmax):
@@ -129,8 +136,7 @@ def _absirred_payload(spec, labels, seq, budget, nmax):
     def verdict(a):
         entry = _seq_dict(a, labels)
         entry["support_criterion"] = krull.is_absirred_support(a, atoms)
-        entry["kernel_criterion"] = krull.is_absirred_kernel(
-            spec.group, a.support(), budget=budget)
+        entry["kernel_criterion"] = krull.is_absirred_kernel(spec.group, a.support())
         w = krull.witness_non_absirred(a, atoms, budget=budget)
         if w is None:
             entry["witness"] = None
@@ -196,8 +202,7 @@ def _classify_payload(spec, labels, bounds):
             "family_semantics": rep.absirred_search.family_semantics,
         },
         "nonabsirred_witness": _witness_dict(rep.nonabsirred_witness, labels),
-        "bounds": {"support_bound": bounds.support_bound,
-                   "nmax": bounds.nmax, "budget": bounds.budget},
+        "bounds": {"support_bound": bounds.support_bound, "budget": bounds.budget},
     }
 
 
@@ -268,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable JSON report (stable schema)")
         p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="search node budget")
-        p.add_argument("--parallel", action="store_true",
-                       help="accepted for compatibility; searches run sequentially")
 
     p_atoms = sub.add_parser("atoms", help="enumerate atoms with verdicts")
     common(p_atoms)
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cls)
     p_cls.add_argument("--bound", type=int, default=4,
                        help="support-size bound for the absirred-nonprime search")
-    p_cls.add_argument("--nmax", type=int, default=4)
 
     p_ver = sub.add_parser("verify", help="run the bundled example suite")
     common(p_ver, needs_spec=False)
@@ -330,10 +332,9 @@ def main(argv=None) -> int:
             report["inputs"]["options"] = {"budget": args.budget, "nmax": args.nmax}
             report["results"] = _absirred_payload(spec, labels, seq, args.budget, args.nmax)
         elif args.command == "classify":
-            bounds = SearchBounds(support_bound=args.bound, nmax=args.nmax,
-                                  budget=args.budget)
+            bounds = SearchBounds(support_bound=args.bound, budget=args.budget)
             report["inputs"]["options"] = {"support_bound": args.bound,
-                                           "nmax": args.nmax, "budget": args.budget}
+                                           "budget": args.budget}
             report["results"] = _classify_payload(spec, labels, bounds)
         report["status"] = "ok"
     except (SpecFileError, NotZeroSum, ValueError) as exc:

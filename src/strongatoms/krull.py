@@ -12,6 +12,12 @@ in agreement: support minimality within the atom set, the kernel criterion on
 the support family (nonnegative dependence of the whole family, integer
 independence of every proper subfamily), and explicit power-factorization
 witnesses.  A bounded brute-force oracle over small powers cross-checks them.
+
+The kernel criterion is decided as a circuit test: it holds exactly when the
+free parts of the family have a one-dimensional space of rational relations,
+spanned by a vector whose entries are all nonzero and of one sign.  One
+fraction-free elimination (``abgroup.rational_relations``) decides it; no
+search runs, so it takes no node budget.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from .abgroup import (
     INFINITE,
     FinGenAbelianGroup,
     GroupElement,
-    is_z_independent,
-    positive_kernel_vector,
+    rational_relations,
 )
 from .errors import DimensionMismatch
 from .zsm import (
@@ -80,7 +85,6 @@ class SearchBounds:
     """Bounds for the classifier's searches."""
 
     support_bound: int = 4
-    nmax: int = 4
     budget: int = DEFAULT_NODE_BUDGET
 
 
@@ -101,23 +105,24 @@ def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
-                       family: Seq[GroupElement],
-                       *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+                       family: Seq[GroupElement]) -> bool:
     """Kernel criterion on a family of classes (repeats = distinct divisors).
 
     The family must admit a nonzero nonnegative relation while every proper
-    subfamily is integrally independent; it suffices to check the subfamilies
-    omitting one member, since independence is inherited by subfamilies.
+    subfamily is integrally independent.  Integer and rational independence
+    agree (a rational relation of the free parts, scaled by its denominators
+    and the exponent of the torsion, is an integer relation), and a subfamily
+    omitting member i is dependent exactly when some relation vanishes at i.
+    So the criterion is a circuit test: the rational relations form one line,
+    spanned by a vector whose entries are all nonzero and of one sign.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    if positive_kernel_vector(group, family, budget=budget) is None:
+    relations = rational_relations(group, family)
+    if len(relations) != 1:
         return False
-    for i in range(len(family)):
-        sub = list(family[:i]) + list(family[i + 1:])
-        if not is_z_independent(group, sub):
-            return False
-    return True
+    v = relations[0]
+    return all(x > 0 for x in v) or all(x < 0 for x in v)
 
 
 @dataclass(frozen=True)
@@ -285,8 +290,7 @@ class AbsirredSearch:
     family_semantics: str = "multiset over classes"
 
 
-def exists_absirred_nonprime(spec: KrullSpec, support_bound: int,
-                             *, budget: int = DEFAULT_NODE_BUDGET) -> AbsirredSearch:
+def exists_absirred_nonprime(spec: KrullSpec, support_bound: int) -> AbsirredSearch:
     """Search families of prime divisors for an absolutely irreducible support.
 
     Families are multisets of classes with per-class multiplicity at most the
@@ -307,7 +311,7 @@ def exists_absirred_nonprime(spec: KrullSpec, support_bound: int,
             if size == 1 and combo[0] == zero_idx:
                 continue
             family = [classes[i] for i in combo]
-            if is_absirred_kernel(spec.group, family, budget=budget):
+            if is_absirred_kernel(spec.group, family):
                 return AbsirredSearch(True, combo, exhaustive, support_bound, caps)
     return AbsirredSearch(False, None, exhaustive, support_bound, caps)
 
@@ -394,7 +398,7 @@ def classify_scenario(spec: KrullSpec,
                       bounds: SearchBounds = SearchBounds()) -> ScenarioReport:
     """Fill the scenario row for a specification, with verified witnesses."""
     prime = has_prime_element(spec)
-    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
+    search = exists_absirred_nonprime(spec, bounds.support_bound)
     if search.found:
         absnp: bool | None = True
     elif search.exhaustive:
@@ -420,7 +424,7 @@ def angermueller_check(spec: KrullSpec,
                        bounds: SearchBounds = SearchBounds()) -> bool:
     """Cross-consistency: all absolutely irreducibles found within bounds are
     prime exactly when the spec is factorial (G0 inside the trivial class)."""
-    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
+    search = exists_absirred_nonprime(spec, bounds.support_bound)
     all_absirred_prime = not search.found
     factorial = all(g.is_zero() for g in spec.class_set.classes)
     return all_absirred_prime == factorial

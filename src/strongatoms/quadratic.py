@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from .abgroup import DEFAULT_NODE_BUDGET
+from .ivpoly import is_prime
 
 
 def _is_squarefree(n: int) -> bool:
@@ -190,21 +191,10 @@ def quad_is_prime_witness(ring: QuadRing, z: QuadInt) -> PrimeWitness:
                             "2 divides the product but neither factor")
     if z.b == 0:
         p = abs(z.a)
-        if p > 2 and p % 2 == 1 and _rational_prime(p) and (2 * d) % p != 0:
+        if p > 2 and p % 2 == 1 and is_prime(p) and (2 * d) % p != 0:
             if pow(d % p, (p - 1) // 2, p) == p - 1:
                 return PrimeWitness("prime_by_euler", detail=f"d^(({p}-1)/2) = -1 mod {p}")
     return PrimeWitness("unknown", detail="no recipe applies to this element")
-
-
-def _rational_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _irreducible_divisor_candidates(ring: QuadRing, t: QuadInt) -> list[QuadInt]:

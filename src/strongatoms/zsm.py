@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence as Seq
+from typing import Iterable, Iterator, Mapping, Sequence as Seq
 
 from .abgroup import (
     DEFAULT_NODE_BUDGET,
@@ -52,12 +52,6 @@ class ClassSet:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def index_of(self, g: GroupElement) -> int:
-        for i, c in enumerate(self.classes):
-            if c == g:
-                return i
-        raise ValueError(f"{g!r} is not a class of this set")
 
     def sequence(self, exponents: Seq[int]) -> "Sequence":
         return Sequence(self, tuple(int(e) for e in exponents))
@@ -353,10 +347,15 @@ def length_set(b: Sequence, atom_set: AtomSet,
     return {len(f) for f in factorizations(b, atom_set, budget=budget)}
 
 
-def elasticity(b: Sequence, atom_set: AtomSet,
-               *, budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
-    """max/min factorization length; the empty sequence has elasticity 1."""
-    lengths = length_set(b, atom_set, budget=budget)
+def length_set_elasticity(lengths: Iterable[int]) -> Fraction:
+    """max/min of a nonempty length set; {0} (the empty sequence) gives 1."""
+    lengths = set(lengths)
     if lengths == {0}:
         return Fraction(1)
     return Fraction(max(lengths), min(lengths))
+
+
+def elasticity(b: Sequence, atom_set: AtomSet,
+               *, budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
+    """max/min factorization length; the empty sequence has elasticity 1."""
+    return length_set_elasticity(length_set(b, atom_set, budget=budget))

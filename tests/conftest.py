@@ -1,14 +1,18 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: determinants are
-cofactor expansions, linear solving is rational Gaussian elimination, and
-kernel searches are bounded brute force.
+cofactor expansions, linear solving and ranks are rational Gaussian
+elimination, and kernel searches are bounded brute force.  The hypothesis
+strategy at the end only builds inputs with the library's group classes.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
+
+from strongatoms.abgroup import FinGenAbelianGroup
 
 
 def cofactor_det(rows):
@@ -67,6 +71,22 @@ def solve_rational(columns, target):
     return sol
 
 
+def rational_rank(rows):
+    """Rank over Q of the matrix with the given rows (Gaussian elimination)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        hit = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if hit is None:
+            continue
+        mat[rank], mat[hit] = mat[hit], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 def in_lattice(basis, vector):
     """vector is an integer combination of the (independent) basis vectors."""
     if not basis:
@@ -99,6 +119,20 @@ def brute_nonneg_kernel_exists(family, bound):
         if any(alphas) and group_combination(family, alphas).is_zero():
             return True
     return False
+
+
+SMALL_TORSIONS = ((), (2,), (3,), (2, 4), (6,))
+
+
+@st.composite
+def small_families(draw, max_members=4, amp=2, torsions=SMALL_TORSIONS):
+    """(group, family): free rank 0-3, one of the given torsions, 1 to
+    max_members members with coordinates in [-amp, amp]."""
+    group = FinGenAbelianGroup(draw(st.integers(0, 3)), draw(st.sampled_from(torsions)))
+    dim = group.free_rank + len(group.torsion)
+    coords = st.lists(st.integers(-amp, amp), min_size=dim, max_size=dim)
+    members = draw(st.lists(coords, min_size=1, max_size=max_members))
+    return group, [group.element(c) for c in members]
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import math
 import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 from strongatoms.abgroup import (
     INFINITE,
@@ -13,6 +15,7 @@ from strongatoms.abgroup import (
     minimal_nonneg_kernel,
     order,
     positive_kernel_vector,
+    rational_relations,
     smith_normal_form,
 )
 from strongatoms.errors import DimensionMismatch
@@ -23,6 +26,8 @@ from conftest import (
     cofactor_det,
     group_combination,
     in_lattice,
+    rational_rank,
+    small_families,
 )
 
 Z2 = FinGenAbelianGroup.free(2)
@@ -258,6 +263,42 @@ def test_is_z_independent_two_sided():
             assert basis and any(any(v) for v in basis)
             for vec in basis:
                 assert group_combination(family, vec).is_zero()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_families())
+def test_is_z_independent_matches_kernel_lattice(case):
+    group, family = case
+    assert is_z_independent(group, family) == (not kernel_lattice(group, family))
+
+
+def test_rational_relations_examples():
+    assert rational_relations(Z2, []) == []
+    assert rational_relations(Z2, [e(0), e(1)]) == []
+    # free rank 0: every member is torsion, so each is a relation by itself
+    c6 = FinGenAbelianGroup.cyclic(6)
+    assert rational_relations(c6, [c6.element((1,)), c6.element((3,))]) == [(1, 0), (0, 1)]
+    g = FinGenAbelianGroup.free(1).element((1,))
+    assert rational_relations(g.group, [2 * g, -3 * g]) == [(3, 2)]
+    with pytest.raises(DimensionMismatch):
+        rational_relations(Z2, [C3.element((1,))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_families(max_members=6, amp=50, torsions=((),)))
+def test_rational_relations_basis_of_rational_kernel(case):
+    # entries in +-50 are far outside what the Smith normal form handles
+    group, family = case
+    m = len(family)
+    rels = rational_relations(group, family)
+    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
+    assert len(rels) == m - rational_rank(rows)
+    if rels:
+        assert rational_rank(rels) == len(rels)
+    for v in rels:
+        assert math.gcd(*v) == 1
+        assert all(sum(x * g.free_part[i] for x, g in zip(v, family)) == 0
+                   for i in range(group.free_rank))
 
 
 def test_positive_kernel_vector_examples():

@@ -140,6 +140,8 @@ def test_machine_reports_deterministic(signed_basis, capsys):
     payload = json.loads(out1)
     assert payload["results"]["row_label"] == "(-,+,-)"
     assert payload["results"]["has_prime"] is False
+    assert payload["inputs"]["options"] == {"support_bound": 4, "budget": 10**7}
+    assert payload["results"]["bounds"] == {"support_bound": 4, "budget": 10**7}
 
 
 def test_factor_command(signed_basis, capsys):
@@ -274,8 +276,3 @@ def test_module_entry_point(cyclic3):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["count"] == 3
-
-
-def test_parallel_flag_accepted(cyclic3, capsys):
-    code, out = run_cli(capsys, "atoms", "--spec", cyclic3, "--parallel", "--machine")
-    assert code == 0

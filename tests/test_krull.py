@@ -2,8 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from strongatoms.abgroup import INFINITE, FinGenAbelianGroup, abelian_groups_of_order
+from strongatoms.abgroup import (
+    INFINITE,
+    FinGenAbelianGroup,
+    abelian_groups_of_order,
+    kernel_lattice,
+    positive_kernel_vector,
+    rational_relations,
+)
 from strongatoms.errors import AtomNotInSet
 from strongatoms.krull import (
     KrullSpec,
@@ -22,6 +30,8 @@ from strongatoms.krull import (
     witness_non_absirred,
 )
 from strongatoms.zsm import ClassSet, enumerate_atoms, is_minimal_zero_sum
+
+from conftest import small_families
 
 C2 = FinGenAbelianGroup.cyclic(2)
 C3 = FinGenAbelianGroup.cyclic(3)
@@ -75,6 +85,49 @@ def test_is_absirred_kernel_examples():
     assert is_absirred_kernel(C2, [C2.element((1,))])
     # {g} alone is already Z-dependent in Z/3, so the pair fails
     assert not is_absirred_kernel(C3, [C3.element((1,)), C3.element((2,))])
+
+
+def test_is_absirred_kernel_mixed_sign_families():
+    # the former route (completion search plus Smith normal forms) exceeded
+    # its node budget on the first family and did not finish the permuted
+    # image of the second in 290 s
+    g = FinGenAbelianGroup(3, (6,))
+    family = [g.element(c) for c in ((2, 3, -3, 1), (2, -2, -1, 5), (-1, -3, 3, 2),
+                                     (-2, 0, 2, 5), (3, -3, 0, 0))]
+    assert not is_absirred_kernel(g, family)
+
+    rows = [[10, 21, -38, -5, 5, -10], [28, 31, -24, 20, 11, 6],
+            [16, -17, -43, 20, -49, -39], [42, 1, 40, 50, 35, 30],
+            [-50, 28, 13, -8, -19, 43]]
+    z5 = FinGenAbelianGroup.free(5)
+    family = [z5.element(col) for col in zip(*rows)]
+    relation = (4085124, -2941318, -1786461, -3832774, -2078712, 5573939)
+    assert rational_relations(z5, family) in ([relation], [tuple(-x for x in relation)])
+    assert not is_absirred_kernel(z5, family)
+
+    row_perm, col_perm = (3, 0, 4, 2, 1), (5, 2, 0, 4, 1, 3)
+    image_rows = [[-rows[i][j] for j in col_perm] for i in row_perm]
+    image = [z5.element(col) for col in zip(*image_rows)]
+    permuted = tuple(relation[j] for j in col_perm)
+    assert rational_relations(z5, image) in ([permuted], [tuple(-x for x in permuted)])
+    assert not is_absirred_kernel(z5, image)
+
+
+def snf_kernel_criterion(group, family):
+    """The criterion decided as it first was: a nonnegative relation from
+    positive_kernel_vector, and an empty kernel lattice for each subfamily
+    omitting one member."""
+    if positive_kernel_vector(group, family) is None:
+        return False
+    subs = (family[:i] + family[i + 1:] for i in range(len(family)))
+    return not any(sub and kernel_lattice(group, sub) for sub in subs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_families())
+def test_is_absirred_kernel_matches_snf_route(case):
+    group, family = case
+    assert is_absirred_kernel(group, family) == snf_kernel_criterion(group, family)
 
 
 def test_witness_non_absirred_examples():
