@@ -8,9 +8,11 @@ Questions about rational dependence are decided by ``rational_relations``,
 one fraction-free elimination on the free parts of a family: a family is
 Z-independent exactly when its free parts have no rational relation, since a
 rational relation, cleared of denominators and multiplied by the exponent of
-the torsion, kills the torsion part too.  Smith normal form remains behind
-``kernel_lattice``, the source of explicit Z-bases, which
-``positive_kernel_vector`` uses before its completion fallback.
+the torsion, kills the torsion part too.  ``positive_kernel_vector`` is
+decided on the same elimination, with the completion search as its fallback
+when the relations span more than a line.  Smith normal form remains only
+behind ``kernel_lattice``, the source of explicit Z-bases, and
+``_invariant_factors``.
 
 Congruence conditions coming from torsion components are reduced to pure
 integer kernels by appending one slack column with coefficient -d_j per
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import add, ge
 from typing import Iterable, Iterator, Sequence as Seq
 
 from .errors import BudgetExceeded, DimensionMismatch
@@ -496,21 +499,24 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
                            *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...] | None:
     """Some nonzero alpha >= 0 with sum_i alpha_i * g_i = 0, or None.
 
-    A rank-one kernel lattice is decided from its generator's signs; higher
-    ranks fall back to the completion search for a minimal solution.
+    Decided on ``rational_relations``.  Without a relation the family is
+    Z-independent.  With one, v (primitive), the integer relations are the
+    multiples of order(sum_i v_i * g_i) * v, so there is a nonnegative one
+    exactly when v has no entries of opposite sign.  Two or more relations
+    fall back to the completion search for a minimal solution.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    basis = kernel_lattice(group, family)
-    if not basis:
+    relations = rational_relations(group, family)
+    if not relations:
         return None
-    if len(basis) == 1:
-        b = basis[0]
-        if all(x >= 0 for x in b):
-            return b
-        if all(x <= 0 for x in b):
-            return tuple(-x for x in b)
-        return None
+    if len(relations) == 1:
+        v = relations[0]
+        if any(x > 0 for x in v) and any(x < 0 for x in v):
+            return None
+        w = tuple(abs(x) for x in v)
+        k = order(group, sum((x * g for x, g in zip(w, family)), group.zero()))
+        return tuple(k * x for x in w)
     m = len(family)
     cols = zero_sum_columns(group, family)
     sols = minimal_nonneg_kernel(cols, budget=budget, limit=1)
@@ -526,50 +532,78 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
                           limit: int | None = None) -> list[tuple[int, ...]]:
     """All minimal nonzero x in N^m with sum_i x_i * columns[i] = 0.
 
-    Contejean-Devie completion: a breadth-first frontier starting from the
-    unit vectors, incrementing coordinate i of a partial solution x only when
-    <A*x, A*e_i> < 0, and discarding anything that dominates a solution found
-    earlier.  The frontier advances one total degree per level, so solutions
-    are found in order of length and the domination filter is exact.
+    Contejean-Devie completion (Inf. Comput. 113, 1994): a breadth-first
+    frontier starting from the unit vectors, incrementing coordinate i of a
+    partial solution t only when <A*t, A*e_i> < 0, and discarding anything
+    that dominates a solution found earlier.  The frontier advances one total
+    degree per level, so solutions are found in order of length and the
+    domination filter is exact.
 
-    Terminates on every input; ``budget`` caps frontier insertions as a
-    safety valve and raises BudgetExceeded beyond it.  With ``limit`` set,
-    returns as soon as that many minimal solutions have been collected.
+    Only a new child needs the domination test.  A frontier node t of degree
+    d was tested when it was inserted, against every solution of degree < d;
+    it cannot dominate another vector of its own degree.  Its child t + e_i
+    dominates a solution s only if s_i = t_i + 1 (otherwise s <= t) and
+    supp(s) lies in supp(t) + {i}.  Solutions are therefore kept in buckets
+    keyed by (coordinate j, value s_j) for each j in supp(s), with supp(s) as
+    a bitmask, and a child is compared, mask first, with its one bucket.
+
+    The inner products come from the Gram matrix G[i][j] = <A*e_i, A*e_j>.
+    Each node stores the vector (<A*t, A*e_j>)_j and the integer |A*t|^2; the
+    child t + e_i gets d + G[i] and n + 2*d[i] + G[i][i], and A*t = 0 exactly
+    when |A*t|^2 = 0.  All arithmetic is exact.
+
+    Terminates on every input; ``budget`` caps frontier insertions and
+    raises BudgetExceeded beyond it.  Each inserted node later tries at most
+    m children, each try costing at most one bucket scan and, when the child
+    is inserted, one row of m additions.  With ``limit`` set, returns the
+    first ``limit`` minimal solutions in frontier order.
     """
     m = len(columns)
-    height = len(columns[0]) if m else 0
-    zero = (0,) * height
+    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
+            for ci in columns]
     sols: list[tuple[int, ...]] = []
+    # buckets[j][x]: (support bitmask, s) for each solution s with s_j = x > 0
+    buckets: list[dict[int, list[tuple[int, tuple[int, ...]]]]] = [
+        {} for _ in range(m)]
 
-    def dominates_some_solution(t):
-        return any(all(tj >= sj for tj, sj in zip(t, s)) for s in sols)
-
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # node -> (<A*t, A*e_j> for each j, |A*t|^2, support bitmask)
+    frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
     for i in range(m):
         unit = tuple(int(i == j) for j in range(m))
-        frontier[unit] = columns[i]
+        frontier[unit] = (gram[i], gram[i][i], 1 << i)
     nodes = 0
     while frontier:
-        for t, v in frontier.items():
-            if v == zero and not dominates_some_solution(t):
+        for t, (_, norm, mask) in frontier.items():
+            if norm == 0:
                 sols.append(t)
                 if limit is not None and len(sols) >= limit:
                     return sols
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for t, v in frontier.items():
-            if v == zero or dominates_some_solution(t):
+                for j, x in enumerate(t):
+                    if x:
+                        buckets[j].setdefault(x, []).append((mask, t))
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+        for t, (d, norm, mask) in frontier.items():
+            if norm == 0:
                 continue
-            for i in range(m):
-                col = columns[i]
-                if sum(a * b for a, b in zip(v, col)) < 0:
-                    child = t[:i] + (t[i] + 1,) + t[i + 1:]
-                    if child in nxt or dominates_some_solution(child):
-                        continue
+            for i, di in enumerate(d):
+                if di >= 0:
+                    continue
+                ti = t[i] + 1
+                child = t[:i] + (ti,) + t[i + 1:]
+                if child in nxt:
+                    continue
+                cmask = mask | (1 << i)
+                outside = ~cmask
+                for smask, s in buckets[i].get(ti, ()):
+                    if not smask & outside and all(map(ge, child, s)):
+                        break
+                else:
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(
                             f"completion search exceeded {budget} nodes")
-                    nxt[child] = tuple(a + b for a, b in zip(v, col))
+                    gi = gram[i]
+                    nxt[child] = (tuple(map(add, d, gi)), norm + 2 * di + gi[i], cmask)
         frontier = nxt
     return sols
 

@@ -95,13 +95,9 @@ class SearchBounds:
 def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
     """True iff u is the unique atom whose support is contained in supp(u)."""
     iu = atom_set.index(u)
-    su = set(u.support_indices())
-    for i, v in enumerate(atom_set):
-        if i == iu:
-            continue
-        if set(v.support_indices()) <= su:
-            return False
-    return True
+    masks = atom_set.support_masks
+    su = masks[iu]
+    return not any(i != iu and not mv & ~su for i, mv in enumerate(masks))
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
@@ -144,15 +140,12 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet,
     exactly when u has minimal support.
     """
     iu = atom_set.index(u)
-    su = set(u.support_indices())
-    pick = None
-    for i, v in enumerate(atom_set):
-        if i != iu and set(v.support_indices()) <= su:
-            pick = (i, v)
-            break
-    if pick is None:
+    masks = atom_set.support_masks
+    su = masks[iu]
+    iv = next((i for i, mv in enumerate(masks) if i != iu and not mv & ~su), None)
+    if iv is None:
         return None
-    iv, v = pick
+    v = atom_set[iv]
     n = max(-(-v.exponents[j] // u.exponents[j]) for j in v.support_indices())
     power = u ** n
     cofactor = power / v
@@ -204,11 +197,10 @@ def all_irreducibles_absirred(spec: KrullSpec,
     """
     atom_set = enumerate_atoms(spec.class_set, budget=budget)
     g1 = set(spec.g1_indices())
-    supports = [set(a.support_indices()) for a in atom_set]
+    masks = atom_set.support_masks
     for i, u in enumerate(atom_set):
-        for j, sv in enumerate(supports):
-            if j != i and sv <= supports[i]:
-                return AllAbsirredReport(False, atom_set, u, "support-minimality")
+        if any(j != i and not mv & ~masks[i] for j, mv in enumerate(masks)):
+            return AllAbsirredReport(False, atom_set, u, "support-minimality")
         for j, e in enumerate(u.exponents):
             if e > 1 and j not in g1:
                 return AllAbsirredReport(False, atom_set, u,

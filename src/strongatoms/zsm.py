@@ -11,6 +11,7 @@ so each multiset of atoms is produced exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence as Seq
 
@@ -125,6 +126,15 @@ class Sequence:
                         tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
 
+def support_mask(exponents: Seq[int]) -> int:
+    """Bitmask with bit i set exactly when exponents[i] is nonzero."""
+    mask = 0
+    for i, e in enumerate(exponents):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
 def is_minimal_zero_sum(s: Sequence) -> bool:
     """True iff s is a nonempty zero-sum sequence with no proper nonempty
     zero-sum subsequence."""
@@ -179,14 +189,27 @@ class AtomSet:
     def __getitem__(self, i: int) -> Sequence:
         return self.atoms[i]
 
-    def index(self, s: Sequence) -> int:
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        positions: dict[tuple[int, ...], int] = {}
         for i, a in enumerate(self.atoms):
-            if a.exponents == s.exponents:
-                return i
-        raise AtomNotInSet(f"sequence {s.exponents} is not an atom of this set")
+            positions.setdefault(a.exponents, i)
+        return positions
+
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """The support of each atom as a bitmask over class indices."""
+        return tuple(support_mask(a.exponents) for a in self.atoms)
+
+    def index(self, s: Sequence) -> int:
+        try:
+            return self._positions[s.exponents]
+        except KeyError:
+            raise AtomNotInSet(
+                f"sequence {s.exponents} is not an atom of this set") from None
 
     def contains(self, s: Sequence) -> bool:
-        return any(a.exponents == s.exponents for a in self.atoms)
+        return s.exponents in self._positions
 
 
 def minimal_zero_sum_vectors(group: FinGenAbelianGroup,
@@ -270,13 +293,7 @@ def vector_factorizations(target: Seq[int],
     """
     m = len(target)
     n = len(atom_vectors)
-    masks = []
-    for v in atom_vectors:
-        mask = 0
-        for j, e in enumerate(v):
-            if e:
-                mask |= 1 << j
-        masks.append(mask)
+    masks = [support_mask(v) for v in atom_vectors]
     suffix_cover = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | masks[i]

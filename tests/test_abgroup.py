@@ -3,7 +3,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from strongatoms.abgroup import (
     INFINITE,
@@ -17,8 +17,9 @@ from strongatoms.abgroup import (
     positive_kernel_vector,
     rational_relations,
     smith_normal_form,
+    zero_sum_columns,
 )
-from strongatoms.errors import DimensionMismatch
+from strongatoms.errors import BudgetExceeded, DimensionMismatch
 
 from conftest import (
     brute_kernel_vectors,
@@ -344,6 +345,41 @@ def test_positive_kernel_vector_two_sided():
             assert group_combination(family, vec).is_zero()
 
 
+def positive_kernel_vector_by_lattice(group, family):
+    """The Smith-normal-form route: sign test on a rank-one kernel lattice,
+    else the completion search."""
+    basis = kernel_lattice(group, family)
+    if not basis:
+        return None
+    if len(basis) == 1:
+        b = basis[0]
+        if all(x >= 0 for x in b):
+            return b
+        if all(x <= 0 for x in b):
+            return tuple(-x for x in b)
+        return None
+    sols = minimal_nonneg_kernel(zero_sum_columns(group, family), limit=1)
+    return sols[0][:len(family)] if sols else None
+
+
+def test_positive_kernel_vector_mixed_sign_line():
+    # one mixed-sign rational relation; the SNF of this matrix explodes
+    rows = [[10, 21, -38, -5, 5, -10], [28, 31, -24, 20, 11, 6],
+            [16, -17, -43, 20, -49, -39], [42, 1, 40, 50, 35, 30],
+            [-50, 28, 13, -8, -19, 43]]
+    group = FinGenAbelianGroup.free(5)
+    family = [group.element([row[j] for row in rows]) for j in range(6)]
+    assert positive_kernel_vector(group, family) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_families())
+def test_positive_kernel_vector_matches_kernel_lattice_route(case):
+    group, family = case
+    assert positive_kernel_vector(group, family) == \
+        positive_kernel_vector_by_lattice(group, family)
+
+
 def test_minimal_nonneg_kernel_simple_systems():
     # x - y = 0
     assert minimal_nonneg_kernel([(1,), (-1,)]) == [(1, 1)]
@@ -389,6 +425,84 @@ def test_minimal_nonneg_kernel_matches_box_minimal_solutions():
                        if not any(t != v and all(a <= b for a, b in zip(t, v))
                                   for t in box)]
         assert sorted(sols) == sorted(box_minimal)
+
+
+def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None):
+    """The completion search testing every frontier node and every child
+    against every solution found so far, with A*t kept explicitly.  Returns
+    the solutions and the number of frontier insertions."""
+    m = len(columns)
+    height = len(columns[0]) if m else 0
+    zero = (0,) * height
+    sols = []
+
+    def dominates_some_solution(t):
+        return any(all(tj >= sj for tj, sj in zip(t, s)) for s in sols)
+
+    frontier = {}
+    for i in range(m):
+        unit = tuple(int(i == j) for j in range(m))
+        frontier[unit] = columns[i]
+    nodes = 0
+    while frontier:
+        for t, v in frontier.items():
+            if v == zero and not dominates_some_solution(t):
+                sols.append(t)
+                if limit is not None and len(sols) >= limit:
+                    return sols, nodes
+        nxt = {}
+        for t, v in frontier.items():
+            if v == zero or dominates_some_solution(t):
+                continue
+            for i in range(m):
+                col = columns[i]
+                if sum(a * b for a, b in zip(v, col)) < 0:
+                    child = t[:i] + (t[i] + 1,) + t[i + 1:]
+                    if child in nxt or dominates_some_solution(child):
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceeded(f"exceeded {budget} nodes")
+                    nxt[child] = tuple(a + b for a, b in zip(v, col))
+        frontier = nxt
+    return sols, nodes
+
+
+@st.composite
+def small_systems(draw):
+    """1-6 columns of height 1-3 with entries in +-3, optionally with one
+    torsion residue row and its slack column -d."""
+    m = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    cols = [tuple(draw(st.lists(entry, min_size=height, max_size=height)))
+            for _ in range(m)]
+    d = draw(st.one_of(st.none(), st.integers(2, 6)))
+    if d is not None:
+        cols = [c + (draw(st.integers(0, d - 1)),) for c in cols]
+        cols.append((0,) * height + (-d,))
+    return cols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_systems())
+def test_minimal_nonneg_kernel_matches_linear_scan(cols):
+    # a few percent of these systems need more insertions than the slow
+    # reference should make; there both searches must stop at the same cap
+    cap = 2000
+    try:
+        want, n = linear_scan_minimal_nonneg_kernel(cols, cap)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            minimal_nonneg_kernel(cols, budget=cap)
+        return
+    assert minimal_nonneg_kernel(cols, budget=n) == want
+    for limit in (1, 2):
+        want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, limit)
+        assert minimal_nonneg_kernel(cols, limit=limit) == want
+    if n:
+        with pytest.raises(BudgetExceeded):
+            minimal_nonneg_kernel(cols, budget=n - 1)
 
 
 def test_snf_wider_random_matrices():

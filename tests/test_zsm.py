@@ -6,6 +6,7 @@ import pytest
 
 from strongatoms.abgroup import FinGenAbelianGroup, abelian_groups_of_order
 from strongatoms.errors import (
+    AtomNotInSet,
     BudgetExceeded,
     DimensionMismatch,
     InfiniteGroupNoBound,
@@ -322,3 +323,17 @@ def test_length_set_infinite_order_classes():
     s2 = cs.sequence((0, 3, 2))
     lengths = length_set(s * s2, atoms)
     assert 2 in lengths and 3 in lengths
+
+
+def test_atom_set_index_and_support_masks():
+    cs = signed_basis_set(3)
+    atoms = enumerate_atoms(cs)
+    for i, a in enumerate(atoms):
+        assert atoms.index(cs.sequence(a.exponents)) == i
+        assert atoms.contains(a)
+        assert atoms.support_masks[i] == sum(1 << j for j in a.support_indices())
+    missing = cs.sequence((1,) * len(cs))
+    assert not atoms.contains(missing)
+    with pytest.raises(AtomNotInSet):
+        atoms.index(missing)
+
