@@ -215,19 +215,20 @@ def binomial_poly(n: int) -> RatPoly:
     return num * Fraction(1, math.factorial(n))
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2, by trial division."""
+    if n % 2 == 0:
+        return 2
     f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
+    while f * f <= n:
+        if n % f == 0:
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and smallest_prime_factor(p) == p
 
 
 def legendre_vp_factorial(p: int, n: int) -> int:

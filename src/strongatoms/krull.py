@@ -94,10 +94,7 @@ class SearchBounds:
 
 def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
     """True iff u is the unique atom whose support is contained in supp(u)."""
-    iu = atom_set.index(u)
-    masks = atom_set.support_masks
-    su = masks[iu]
-    return not any(i != iu and not mv & ~su for i, mv in enumerate(masks))
+    return atom_set.atom_within_support(atom_set.index(u)) is None
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
@@ -140,9 +137,7 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet,
     exactly when u has minimal support.
     """
     iu = atom_set.index(u)
-    masks = atom_set.support_masks
-    su = masks[iu]
-    iv = next((i for i, mv in enumerate(masks) if i != iu and not mv & ~su), None)
+    iv = atom_set.atom_within_support(iu)
     if iv is None:
         return None
     v = atom_set[iv]
@@ -197,9 +192,8 @@ def all_irreducibles_absirred(spec: KrullSpec,
     """
     atom_set = enumerate_atoms(spec.class_set, budget=budget)
     g1 = set(spec.g1_indices())
-    masks = atom_set.support_masks
     for i, u in enumerate(atom_set):
-        if any(j != i and not mv & ~masks[i] for j, mv in enumerate(masks)):
+        if atom_set.atom_within_support(i) is not None:
             return AllAbsirredReport(False, atom_set, u, "support-minimality")
         for j, e in enumerate(u.exponents):
             if e > 1 and j not in g1:

@@ -15,18 +15,16 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from .abgroup import DEFAULT_NODE_BUDGET
-from .ivpoly import is_prime
+from .ivpoly import is_prime, smallest_prime_factor
 
 
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
+        if n % p == 0:
             return False
-        if n % f == 0:
-            n //= f
-        f += 1
     return True
 
 

@@ -4,8 +4,8 @@ A sequence is an exponent vector over an ordered list of distinct group
 elements.  Atoms (minimal zero-sum sequences) are enumerated with the
 completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
 mixed free/torsion groups without an a-priori degree bound; factorizations
-into atoms are enumerated by depth-first search in nondecreasing atom order,
-so each multiset of atoms is produced exactly once.
+into atoms are enumerated by choosing atom multiplicities in turn on an
+explicit stack, so each multiset of atoms is produced exactly once.
 """
 
 from __future__ import annotations
@@ -201,6 +201,12 @@ class AtomSet:
         """The support of each atom as a bitmask over class indices."""
         return tuple(support_mask(a.exponents) for a in self.atoms)
 
+    def atom_within_support(self, i: int) -> int | None:
+        """Index of the first other atom whose support lies in atom i's, or None."""
+        masks = self.support_masks
+        inside = (j for j, mj in enumerate(masks) if j != i and not mj & ~masks[i])
+        return next(inside, None)
+
     def index(self, s: Sequence) -> int:
         try:
             return self._positions[s.exponents]
@@ -285,61 +291,61 @@ def vector_factorizations(target: Seq[int],
                           atom_vectors: Seq[tuple[int, ...]],
                           *, budget: int = DEFAULT_NODE_BUDGET,
                           limit: int | None = None) -> list[tuple[int, ...]]:
-    """All multisets of atom vectors summing to ``target``, as sorted index tuples.
+    """All multisets of nonzero atom vectors summing to ``target``, as sorted
+    index tuples in lexicographic order.
 
-    DFS in nondecreasing index order; a suffix support mask prunes branches
-    that can no longer cover some coordinate.  ``limit`` stops the search
-    early once that many factorizations have been found.
+    Sets the counts of atoms 0, 1, ... in turn, largest first, on a stack as
+    deep as the number of atoms; a count whose remainder the later atoms
+    cannot cover ends that atom's choices.  ``budget`` counts multiplicity
+    decisions; ``limit`` stops once that many factorizations are found.
     """
-    m = len(target)
     n = len(atom_vectors)
+    supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
     masks = [support_mask(v) for v in atom_vectors]
     suffix_cover = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | masks[i]
-    lengths = [sum(v) for v in atom_vectors]
 
     out: list[tuple[int, ...]] = []
     rem = list(target)
-    acc: list[int] = []
+    need = support_mask(rem)          # the support of rem
+    counts: list[int] = []            # counts[i]: copies taken of atom i
     nodes = 0
-
-    def rem_mask() -> int:
-        mask = 0
-        for j in range(m):
-            if rem[j]:
-                mask |= 1 << j
-        return mask
-
-    def rec(total: int, start: int) -> bool:
-        nonlocal nodes
-        if total == 0:
-            out.append(tuple(acc))
-            return limit is not None and len(out) >= limit
-        needed = rem_mask()
-        if needed & ~suffix_cover[start]:
-            return False
-        for i in range(start, n):
-            v = atom_vectors[i]
-            if lengths[i] > total:
-                continue
+    while True:
+        if nodes > budget:
+            raise BudgetExceeded(f"factorization search exceeded {budget} divisions")
+        i = len(counts)
+        if not need:
+            out.append(tuple(t for t, c in enumerate(counts) for _ in range(c)))
+            if limit is not None and len(out) >= limit:
+                return out
+        elif not need & ~suffix_cover[i]:
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"factorization search exceeded {budget} divisions")
-            if all(v[j] <= rem[j] for j in range(m)):
-                for j in range(m):
-                    rem[j] -= v[j]
-                acc.append(i)
-                stop = rec(total - lengths[i], i)
-                acc.pop()
-                for j in range(m):
-                    rem[j] += v[j]
-                if stop:
-                    return True
-        return False
-
-    rec(sum(target), 0)
-    return out
+            v = atom_vectors[i]
+            c = min(rem[j] // v[j] for j in supports[i])
+            for j in supports[i]:
+                rem[j] -= c * v[j]
+                if not rem[j]:
+                    need &= ~(1 << j)
+            counts.append(c)
+            continue
+        # backtrack to the deepest count that can step down by one; stepping
+        # down only adds to the need, so an uncovered step ends the atom
+        while counts:
+            i = len(counts) - 1
+            c = counts.pop()
+            if c:
+                need |= masks[i]
+                down = not need & ~suffix_cover[i + 1]
+                v = atom_vectors[i]
+                for j in supports[i]:
+                    rem[j] += v[j] if down else c * v[j]
+                if down:
+                    nodes += 1
+                    counts.append(c - 1)
+                    break
+        else:
+            return out
 
 
 def factorizations(b: Sequence, atom_set: AtomSet,

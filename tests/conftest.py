@@ -4,15 +4,20 @@ These deliberately avoid the library's own code paths: determinants are
 cofactor expansions, linear solving and ranks are rational Gaussian
 elimination, and kernel searches are bounded brute force.  The hypothesis
 strategy at the end only builds inputs with the library's group classes.
+The suite's hypothesis profile is registered and loaded here.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from strongatoms.abgroup import FinGenAbelianGroup
+
+# Property tests replay the same examples on every run and are never timed out.
+settings.register_profile("strongatoms", derandomize=True, deadline=None)
+settings.load_profile("strongatoms")
 
 
 def cofactor_det(rows):

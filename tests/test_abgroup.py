@@ -266,7 +266,7 @@ def test_is_z_independent_two_sided():
                 assert group_combination(family, vec).is_zero()
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(small_families())
 def test_is_z_independent_matches_kernel_lattice(case):
     group, family = case
@@ -285,7 +285,7 @@ def test_rational_relations_examples():
         rational_relations(Z2, [C3.element((1,))])
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(small_families(max_members=6, amp=50, torsions=((),)))
 def test_rational_relations_basis_of_rational_kernel(case):
     # entries in +-50 are far outside what the Smith normal form handles
@@ -372,7 +372,7 @@ def test_positive_kernel_vector_mixed_sign_line():
     assert positive_kernel_vector(group, family) is None
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(small_families())
 def test_positive_kernel_vector_matches_kernel_lattice_route(case):
     group, family = case
@@ -484,7 +484,7 @@ def small_systems(draw):
     return cols
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(small_systems())
 def test_minimal_nonneg_kernel_matches_linear_scan(cols):
     # a few percent of these systems need more insertions than the slow

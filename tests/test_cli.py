@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -108,6 +109,9 @@ GOLDEN_ATOMS_REPORT = """{
 """
 
 
+SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+
 @pytest.fixture
 def cyclic3(tmp_path):
     path = tmp_path / "cyclic3.json"
@@ -168,6 +172,18 @@ def test_lengths_command(signed_basis, capsys):
     payload = json.loads(out)
     assert payload["results"]["lengths"] == [1]
     assert payload["results"]["elasticity"] == "1"
+
+
+@pytest.mark.parametrize("command", ["lengths", "factor"])
+def test_deep_power_on_bundled_spec(command, capsys):
+    code, out = run_cli(capsys, command, "--spec", str(SPECS_DIR / "cyclic3_full.json"),
+                        "--sequence", "g^3000", "--machine")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["lengths"] == [1000]
+    assert results["elasticity"] == "1"
+    if command == "factor":
+        assert results["count"] == 1
 
 
 def test_absirred_command(cyclic3, capsys):
@@ -258,9 +274,7 @@ def test_spec_parsing_reduces_and_validates():
 
 
 def test_bundled_spec_files_parse(capsys):
-    import pathlib
-    spec_dir = pathlib.Path(__file__).resolve().parent.parent / "specs"
-    files = sorted(spec_dir.glob("*.json"))
+    files = sorted(SPECS_DIR.glob("*.json"))
     assert files
     for path in files:
         spec, labels = load_spec(path)

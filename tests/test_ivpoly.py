@@ -22,6 +22,7 @@ from strongatoms.ivpoly import (
     legendre_vp_factorial,
     poly_divides,
     rp_membership,
+    smallest_prime_factor,
     verify_no_prime_witness,
 )
 
@@ -216,6 +217,7 @@ def test_legendre_vp_factorial():
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [smallest_prime_factor(n) for n in (2, 9, 15, 49, 97, 221)] == [2, 3, 3, 7, 97, 13]
 
 
 def test_rp_membership_examples():

@@ -123,7 +123,7 @@ def snf_kernel_criterion(group, family):
     return not any(sub and kernel_lattice(group, sub) for sub in subs)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(small_families())
 def test_is_absirred_kernel_matches_snf_route(case):
     group, family = case

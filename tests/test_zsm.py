@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongatoms.abgroup import FinGenAbelianGroup, abelian_groups_of_order
 from strongatoms.errors import (
@@ -21,6 +22,7 @@ from strongatoms.zsm import (
     factorizations,
     is_minimal_zero_sum,
     length_set,
+    vector_factorizations,
 )
 
 Z2 = FinGenAbelianGroup.free(2)
@@ -278,6 +280,78 @@ def test_factorizations_budget():
     v = cs.sequence((0, 0, 0, 1, 1, 1, 1, 0))
     with pytest.raises(BudgetExceeded):
         factorizations((u * v) ** 3, atoms, budget=5)
+
+
+def recursive_vector_factorizations(target, atom_vectors, limit=None):
+    """Reference: the former recursive search, one atom per call frame in
+    nondecreasing index order, with suffix-cover pruning."""
+    m = len(target)
+    n = len(atom_vectors)
+    masks = [sum(1 << j for j in range(m) if v[j]) for v in atom_vectors]
+    suffix_cover = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
+    lengths = [sum(v) for v in atom_vectors]
+    out = []
+    rem = list(target)
+    acc = []
+
+    def rec(total, start):
+        if total == 0:
+            out.append(tuple(acc))
+            return limit is not None and len(out) >= limit
+        needed = sum(1 << j for j in range(m) if rem[j])
+        if needed & ~suffix_cover[start]:
+            return False
+        for i in range(start, n):
+            v = atom_vectors[i]
+            if lengths[i] > total:
+                continue
+            if all(v[j] <= rem[j] for j in range(m)):
+                for j in range(m):
+                    rem[j] -= v[j]
+                acc.append(i)
+                stop = rec(total - lengths[i], i)
+                acc.pop()
+                for j in range(m):
+                    rem[j] += v[j]
+                if stop:
+                    return True
+        return False
+
+    rec(sum(target), 0)
+    return out
+
+
+@st.composite
+def factorization_systems(draw):
+    """(target, atom vectors): 1-4 coordinates, 1-6 nonzero atom vectors with
+    entries 0-3, target entries 0-6."""
+    m = draw(st.integers(1, 4))
+    entry = st.integers(0, 3)
+    atom = st.lists(entry, min_size=m, max_size=m).filter(any).map(tuple)
+    atoms = draw(st.lists(atom, min_size=1, max_size=6))
+    target = tuple(draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)))
+    return target, atoms
+
+
+@settings(max_examples=400)
+@given(factorization_systems())
+def test_vector_factorizations_matches_recursive_search(system):
+    target, atoms = system
+    for limit in (None, 1, 2):
+        assert (vector_factorizations(target, atoms, limit=limit)
+                == recursive_vector_factorizations(target, atoms, limit))
+
+
+def test_vector_factorizations_deep_target():
+    # 1000 copies of one atom, more than the default recursion limit allows
+    # for a search with one call frame per atom taken
+    cs = ClassSet(C3, (C3.element((1,)), C3.element((2,))))
+    atoms = enumerate_atoms(cs)
+    ig3 = atoms.index(cs.sequence((3, 0)))
+    facs = vector_factorizations((3000, 0), [a.exponents for a in atoms])
+    assert facs == [(ig3,) * 1000]
 
 
 def test_random_atom_products_factor_back():
