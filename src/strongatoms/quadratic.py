@@ -4,14 +4,15 @@ Under that hypothesis Z[sqrt(d)] is the full ring of integers, the norm
 a^2 - d*b^2 is positive definite, and the units are exactly +-1.  Norm-based
 searches make irreducibility and bounded absolute-irreducibility decidable;
 primality is only witnessed (explicit non-prime products, or the Euler
-criterion for inert rational primes).
+criterion for inert rational primes).  The bounded half-factoriality scan
+fills one table of length sets in increasing norm, built bottom-up from the
+irreducibles of smaller norm.  No cache outlives a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from .abgroup import DEFAULT_NODE_BUDGET
@@ -137,25 +138,17 @@ def quad_divides(ring: QuadRing, w: QuadInt, z: QuadInt) -> bool:
     return ring.exact_divide(z, w) is not None
 
 
-@lru_cache(maxsize=None)
-def _irreducible_cached(d: int, a: int, b: int) -> bool:
-    ring = QuadRing(d)
-    z = QuadInt(a, b)
+def quad_is_irreducible(ring: QuadRing, z: QuadInt) -> bool:
+    """No divisor of norm strictly between 1 and N(z)."""
     nz = ring.norm(z)
+    if nz <= 1:
+        raise ZeroOrUnit("irreducibility is about nonzero nonunits")
     for m in _divisors(nz):
         if 1 < m < nz:
             for w in elements_of_norm(ring, m):
                 if quad_divides(ring, w, z):
                     return False
     return True
-
-
-def quad_is_irreducible(ring: QuadRing, z: QuadInt) -> bool:
-    """No divisor of norm strictly between 1 and N(z)."""
-    nz = ring.norm(z)
-    if nz <= 1:
-        raise ZeroOrUnit("irreducibility is about nonzero nonunits")
-    return _irreducible_cached(ring.d, z.a, z.b)
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ def _irreducible_divisor_candidates(ring: QuadRing, t: QuadInt) -> list[QuadInt]
             w = canonical_associate(w)
             if w in cands:
                 continue
-            if _irreducible_cached(ring.d, w.a, w.b) and quad_divides(ring, w, t):
+            if quad_is_irreducible(ring, w) and quad_divides(ring, w, t):
                 cands.append(w)
     cands.sort(key=lambda z: (ring.norm(z), z.a, z.b))
     return cands
@@ -271,13 +264,47 @@ def half_factorial_check(ring: QuadRing, max_norm: int,
                          *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[bool, QuadInt | None]:
     """All nonzero nonunits of norm <= max_norm have equal-length factorizations.
 
-    Returns (True, None) or (False, counterexample).
+    Returns (True, None) or (False, counterexample), the counterexample being
+    the first canonical element with two lengths in (norm, a, b) order.
+    One pass fills a table of length sets, as int bitmasks (bit k set when
+    the element has a factorization of length k), in increasing norm:
+    L(z) is the union of 1 + L(z/w) over the irreducible w whose norm
+    properly divides N(z), and z is irreducible exactly when there is none.
+    Its memory is linear in the number of elements of norm <= max_norm.
+    `budget` counts the exact divisions of the whole scan.
     """
-    for m in range(2, max_norm + 1):
-        for z in elements_of_norm(ring, m):
-            if z != canonical_associate(z):
-                continue
-            lengths = {len(atoms) for _, atoms in quad_factorizations(ring, z, budget=budget)}
-            if len(lengths) != 1:
+    absd = -ring.d
+    by_norm: dict[int, list[QuadInt]] = {}
+    for a in range(math.isqrt(max(max_norm, 0)) + 1):
+        bmax = math.isqrt((max_norm - a * a) // absd)
+        for b in range(1 if a == 0 else -bmax, bmax + 1):
+            n = a * a + absd * b * b
+            if n >= 2:
+                by_norm.setdefault(n, []).append(QuadInt(a, b))
+    lengths: dict[QuadInt, int] = {}
+    # divisor_norms[n]: the norms of irreducibles found so far that properly divide n
+    divisor_norms: dict[int, list[int]] = {n: [] for n in by_norm}
+    irreducibles: dict[int, list[QuadInt]] = {}
+    divisions = 0
+    for n in sorted(by_norm):
+        for z in by_norm[n]:
+            mask = 0
+            for m in divisor_norms[n]:
+                for w in irreducibles[m]:
+                    divisions += 1
+                    if divisions > budget:
+                        raise BudgetExceeded(f"half-factorial scan exceeded {budget} divisions")
+                    q = ring.exact_divide(z, w)
+                    if q is not None:
+                        mask |= lengths[canonical_associate(q)] << 1
+            if not mask:
+                mask = 0b10
+                irreducibles.setdefault(n, []).append(z)
+            elif mask & (mask - 1):
                 return False, z
+            lengths[z] = mask
+        if n in irreducibles:
+            for multiple in range(2 * n, max_norm + 1, n):
+                if multiple in divisor_norms:
+                    divisor_norms[multiple].append(n)
     return True, None

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from strongatoms.errors import ZeroDivisor, ZeroOrUnit
+from strongatoms.errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from strongatoms.quadratic import (
     QuadInt,
     QuadRing,
@@ -176,3 +178,63 @@ def test_not_half_factorial_detectable():
             prod = R14.mul(prod, w)
         assert prod == z
         assert all(quad_is_irreducible(R14, w) for w in atoms)
+
+
+def test_half_factorial_budget_counts_divisions():
+    with pytest.raises(BudgetExceeded):
+        half_factorial_check(R14, 324, budget=1)
+    assert half_factorial_check(R14, 324) == (False, QuadInt(18, 0))
+
+
+def per_element_half_factorial_check(ring, max_norm):
+    """The former scan: list every factorization of each canonical element."""
+    for m in range(2, max_norm + 1):
+        for z in elements_of_norm(ring, m):
+            if z != canonical_associate(z):
+                continue
+            lengths = {len(atoms) for _, atoms in quad_factorizations(ring, z)}
+            if len(lengths) != 1:
+                return False, z
+    return True, None
+
+
+SQUAREFREE_D = [-k for k in range(1, 131)
+                if -k % 4 in (2, 3) and all(k % (p * p) for p in range(2, 12))]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SQUAREFREE_D), st.integers(0, 700))
+# first counterexamples off the rational line: the scan's order within a norm decides them
+@example(-21, 1369)
+@example(-33, 2401)
+@example(-57, 5329)
+def test_half_factorial_table_matches_per_element_scan(d, max_norm):
+    ring = QuadRing(d)
+    assert half_factorial_check(ring, max_norm) == per_element_half_factorial_check(ring, max_norm)
+
+
+def class_number(disc):
+    """Number of reduced primitive forms a*x^2 + b*x*y + c*y^2 of discriminant disc < 0."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            c, r = divmod(b * b - disc, 4 * a)
+            if r == 0 and c >= a and not (a == c and b < 0) and math.gcd(a, b, c) == 1:
+                h += 1
+        a += 1
+    return h
+
+
+def test_class_number_reference():
+    assert [class_number(4 * d) for d in (-1, -2, -5, -6, -14, -17, -21, -26)] == [1, 1, 2, 2, 4, 4, 4, 6]
+
+
+@pytest.mark.parametrize("d", [-1, -2, -5, -6, -10, -13, -14, -17, -21, -26])
+def test_half_factorial_matches_carlitz(d):
+    # Carlitz (1960): the ring of integers is half-factorial iff its class number is at most 2
+    ring = QuadRing(d)
+    ok, z = half_factorial_check(ring, (abs(d) + 16) ** 2)
+    assert ok == (class_number(4 * d) <= 2)
+    if not ok:
+        assert len({len(atoms) for _, atoms in quad_factorizations(ring, z)}) == 2
