@@ -96,38 +96,30 @@ def _atoms_payload(spec, labels, budget):
             "certificate": dict(atoms.certificate)}
 
 
-def _factorizations(spec, seq, budget):
-    """Atoms, factorizations of seq, its sorted length set and its elasticity
-    (a fraction string, or None without factorizations)."""
+def _factor_payload(spec, labels, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = zsm.factorizations(seq, atoms, budget=budget)
-    lengths = sorted({len(f) for f in facs})
-    elasticity = str(zsm.length_set_elasticity(lengths)) if facs else None
-    return atoms, facs, lengths, elasticity
-
-
-def _factor_payload(spec, labels, seq, budget):
-    atoms, facs, lengths, elasticity = _factorizations(spec, seq, budget)
+    shown = [f"({_display(a, labels)})" for a in atoms]
     payload = {
         "sequence": _seq_dict(seq, labels),
         "factorizations": [
             {"atom_indices": list(f.atom_indices),
-             "display": " * ".join(f"({_display(atoms[i], labels)})"
-                                   for i in f.atom_indices) or "1"}
+             "display": " * ".join(shown[i] for i in f.atom_indices) or "1"}
             for f in facs
         ],
         "count": len(facs),
-        "lengths": lengths,
+        "lengths": sorted({len(f) for f in facs}),
     }
-    if elasticity is not None:
-        payload["elasticity"] = elasticity
+    if facs:
+        payload["elasticity"] = str(zsm.length_set_elasticity(payload["lengths"]))
     return payload
 
 
 def _lengths_payload(spec, labels, seq, budget):
-    _, _, lengths, elasticity = _factorizations(spec, seq, budget)
+    atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
+    lengths = sorted(zsm.length_set(seq, atoms, budget=budget))
     return {"sequence": _seq_dict(seq, labels), "lengths": lengths,
-            "elasticity": elasticity}
+            "elasticity": str(zsm.length_set_elasticity(lengths)) if lengths else None}
 
 
 def _absirred_payload(spec, labels, seq, budget, nmax):

@@ -102,7 +102,22 @@ def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
 
 
 def nm_length_set(m: NumericalMonoid, x: int) -> set[int]:
-    return {len(f) for f in nm_factorizations(m, x)}
+    """The factorization lengths of x, from a table over the values 0..x:
+    L(0) = 1 and L(y) = OR of L(y - a) << 1 over the atoms a <= y, as
+    bitmasks (no factorization is listed)."""
+    if x <= 0 or not m.contains(x):
+        raise NotMember(f"{x} is not a positive element of the monoid")
+    atoms = nm_atoms(m)
+    table = [1]
+    for y in range(1, x + 1):
+        mask = 0
+        for a in atoms:
+            if a > y:
+                break
+            mask |= table[y - a]
+        table.append(mask << 1)
+    mask = table[x]
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 @dataclass(frozen=True)

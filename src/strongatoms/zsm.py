@@ -5,7 +5,11 @@ elements.  Atoms (minimal zero-sum sequences) are enumerated with the
 completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
 mixed free/torsion groups without an a-priori degree bound; factorizations
 into atoms are enumerated by choosing atom multiplicities in turn on an
-explicit stack, so each multiset of atoms is produced exactly once.
+explicit stack, so each multiset of atoms is produced exactly once.  Length
+sets and elasticity list no factorization: they come from a table of length
+bitmasks keyed by the remaining exponent vector.  That table reaches a
+multiset of atoms once for each of its atoms in the remainder's first class,
+so it gives lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -294,10 +298,13 @@ def vector_factorizations(target: Seq[int],
     """All multisets of nonzero atom vectors summing to ``target``, as sorted
     index tuples in lexicographic order.
 
-    Sets the counts of atoms 0, 1, ... in turn, largest first, on a stack as
-    deep as the number of atoms; a count whose remainder the later atoms
-    cannot cover ends that atom's choices.  ``budget`` counts multiplicity
-    decisions; ``limit`` stops once that many factorizations are found.
+    Takes atoms in increasing index order, each with as many copies as fit and
+    then one fewer at a time, on a stack of (atom, copies) pairs as deep as
+    the number of atoms.  The next atom is looked up among those whose support
+    lies inside the remainder's (one next-index table per distinct support),
+    and a remainder that the later atoms cannot cover ends the choices.
+    ``budget`` counts the pairs pushed: nonzero counts set or stepped down by
+    one; ``limit`` stops once that many factorizations are found.
     """
     n = len(atom_vectors)
     supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
@@ -305,47 +312,119 @@ def vector_factorizations(target: Seq[int],
     suffix_cover = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | masks[i]
+    # need -> nxt, where nxt[i] is the first atom from i on whose support lies
+    # inside need (n if none)
+    fitting: dict[int, list[int]] = {}
 
     out: list[tuple[int, ...]] = []
     rem = list(target)
-    need = support_mask(rem)          # the support of rem
-    counts: list[int] = []            # counts[i]: copies taken of atom i
+    need = support_mask(rem)              # the support of rem
+    stack: list[tuple[int, int]] = []     # (atom, copies taken), atoms increasing
+    start = 0                             # the next atom taken is at least this
     nodes = 0
     while True:
         if nodes > budget:
             raise BudgetExceeded(f"factorization search exceeded {budget} divisions")
-        i = len(counts)
         if not need:
-            out.append(tuple(t for t, c in enumerate(counts) for _ in range(c)))
+            out.append(tuple(i for i, c in stack for _ in range(c)))
             if limit is not None and len(out) >= limit:
                 return out
-        elif not need & ~suffix_cover[i]:
-            nodes += 1
-            v = atom_vectors[i]
-            c = min(rem[j] // v[j] for j in supports[i])
-            for j in supports[i]:
-                rem[j] -= c * v[j]
-                if not rem[j]:
-                    need &= ~(1 << j)
-            counts.append(c)
-            continue
-        # backtrack to the deepest count that can step down by one; stepping
-        # down only adds to the need, so an uncovered step ends the atom
-        while counts:
-            i = len(counts) - 1
-            c = counts.pop()
-            if c:
-                need |= masks[i]
-                down = not need & ~suffix_cover[i + 1]
+        elif not need & ~suffix_cover[start]:
+            nxt = fitting.get(need)
+            if nxt is None:
+                nxt = [n] * (n + 1)
+                for i in range(n - 1, -1, -1):
+                    nxt[i] = nxt[i + 1] if masks[i] & ~need else i
+                fitting[need] = nxt
+            c = 0
+            i = nxt[start]
+            while i < n and not need & ~suffix_cover[i]:
                 v = atom_vectors[i]
-                for j in supports[i]:
-                    rem[j] += v[j] if down else c * v[j]
-                if down:
-                    nodes += 1
-                    counts.append(c - 1)
+                c = min(rem[j] // v[j] for j in supports[i])
+                if c:
                     break
+                i = nxt[i + 1]
+            if c:
+                nodes += 1
+                for j in supports[i]:
+                    rem[j] -= c * v[j]
+                    if not rem[j]:
+                        need &= ~(1 << j)
+                stack.append((i, c))
+                start = i + 1
+                continue
+        # backtrack to the deepest atom whose count can step down by one, or
+        # to zero if later atoms may replace it; stepping down only adds to
+        # the need, so an uncovered step ends that atom's choices
+        while stack:
+            i, c = stack.pop()
+            need |= masks[i]
+            v = atom_vectors[i]
+            if need & ~suffix_cover[i + 1]:
+                for j in supports[i]:
+                    rem[j] += c * v[j]
+                continue
+            for j in supports[i]:
+                rem[j] += v[j]
+            if c > 1:
+                nodes += 1
+                stack.append((i, c - 1))
+            start = i + 1
+            break
         else:
             return out
+
+
+def vector_length_mask(target: Seq[int],
+                       atom_vectors: Seq[tuple[int, ...]],
+                       *, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """The lengths of the factorizations of ``target`` as a bitmask: bit k is
+    set iff some k nonzero atom vectors sum to ``target``.
+
+    A table over remainders: L(0) = 1, and otherwise L(rem) is the OR of
+    L(rem - a) << 1 over the atoms a <= rem whose first nonzero class is j,
+    rem's first nonzero class.  Every factorization of rem takes one of them,
+    since an atom that fits rem is zero before j.  The table is filled from
+    an explicit stack; ``budget`` counts its states.
+    """
+    by_first: list[list[tuple[int, ...]]] = [[] for _ in target]
+    for v in atom_vectors:
+        if all(x <= t for x, t in zip(v, target)):
+            by_first[next(j for j, x in enumerate(v) if x)].append(v)
+    table = {(0,) * len(target): 1}
+    stack: list[tuple[tuple[int, ...], list | None]] = [(tuple(target), None)]
+    while stack:
+        rem, children = stack[-1]
+        if children is None:
+            if rem in table:
+                stack.pop()
+                continue
+            j = next(j for j, r in enumerate(rem) if r)
+            children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
+                        if all(x <= r for x, r in zip(a, rem))]
+            stack[-1] = (rem, children)
+            pending = [(c, None) for c in children if c not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+        mask = 0
+        for c in children:
+            mask |= table[c]
+        table[rem] = mask << 1
+        if len(table) > budget:
+            raise BudgetExceeded(f"length table exceeded {budget} states")
+        stack.pop()
+    return table[tuple(target)]
+
+
+def _factorable(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
+    """The atoms' exponent vectors, once b is known to be a zero-sum sequence
+    over the atom set's class set."""
+    if b.class_set != atom_set.class_set:
+        raise DimensionMismatch("sequence and atom set over different class sets")
+    if not b.is_zero_sum():
+        raise NotZeroSum(f"sigma of {b.exponents} is nonzero")
+    return [a.exponents for a in atom_set.atoms]
 
 
 def factorizations(b: Sequence, atom_set: AtomSet,
@@ -356,18 +435,18 @@ def factorizations(b: Sequence, atom_set: AtomSet,
     The empty sequence has exactly the empty factorization.  Raises
     NotZeroSum unless sigma(b) = 0.
     """
-    if b.class_set != atom_set.class_set:
-        raise DimensionMismatch("sequence and atom set over different class sets")
-    if not b.is_zero_sum():
-        raise NotZeroSum(f"sigma of {b.exponents} is nonzero")
-    vecs = [a.exponents for a in atom_set.atoms]
+    vecs = _factorable(b, atom_set)
     found = vector_factorizations(b.exponents, vecs, budget=budget, limit=limit)
     return [Factorization(ix) for ix in found]
 
 
 def length_set(b: Sequence, atom_set: AtomSet,
                *, budget: int = DEFAULT_NODE_BUDGET) -> set[int]:
-    return {len(f) for f in factorizations(b, atom_set, budget=budget)}
+    """The lengths of the factorizations of b, from the length table (the
+    factorizations themselves are not listed).  Raises NotZeroSum unless
+    sigma(b) = 0."""
+    mask = vector_length_mask(b.exponents, _factorable(b, atom_set), budget=budget)
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 def length_set_elasticity(lengths: Iterable[int]) -> Fraction:

@@ -239,6 +239,13 @@ def test_exit_code_budget(signed_basis, capsys):
                  "--sequence", "1,1,1,1,1,1", "--budget", "2"]) == 3
 
 
+def test_exit_code_budget_lengths(cyclic3, capsys):
+    assert main(["lengths", "--spec", cyclic3, "--sequence", "g^30", "--budget", "1"]) == 3
+    # atom enumeration fits in 100 nodes, the length table of g^3000 does not
+    assert main(["lengths", "--spec", cyclic3, "--sequence", "g^3000", "--budget", "100"]) == 3
+    assert "length table" in capsys.readouterr().err
+
+
 def test_spec_round_trip(signed_basis, capsys):
     spec, labels = load_spec(signed_basis)
     reparsed, labels2 = parse_spec_dict(spec_to_dict(spec, labels))

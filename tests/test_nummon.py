@@ -122,3 +122,27 @@ def test_generated_factorizations_sum_back():
             for f in nm_factorizations(m, x):
                 assert sum(f) == x
                 assert all(a in nm_atoms(m) for a in f)
+
+
+def test_length_set_matches_listed_lengths():
+    monoids = [NumericalMonoid.interval(n) for n in (1, 2, 3, 4)] + [
+        NumericalMonoid.generated(3, 5),
+        NumericalMonoid.generated(4, 6, 9),
+        NumericalMonoid.generated(2, 5, 9, 11),
+    ]
+    for m in monoids:
+        for x in range(1, 41):
+            if m.contains(x):
+                assert nm_length_set(m, x) == {len(f) for f in nm_factorizations(m, x)}
+            else:
+                with pytest.raises(NotMember):
+                    nm_length_set(m, x)
+    with pytest.raises(NotMember):
+        nm_length_set(NumericalMonoid.interval(2), 0)
+
+
+@pytest.mark.parametrize("n, x", [(2, 2500), (3, 2000), (5, 4321)])
+def test_length_set_deep_interval(n, x):
+    # x is a sum of k atoms from [n, 2n-1] iff n*k <= x <= (2n-1)*k
+    want = set(range(-(-x // (2 * n - 1)), x // n + 1))
+    assert nm_length_set(NumericalMonoid.interval(n), x) == want

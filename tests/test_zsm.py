@@ -23,6 +23,7 @@ from strongatoms.zsm import (
     is_minimal_zero_sum,
     length_set,
     vector_factorizations,
+    vector_length_mask,
 )
 
 Z2 = FinGenAbelianGroup.free(2)
@@ -344,6 +345,14 @@ def test_vector_factorizations_matches_recursive_search(system):
                 == recursive_vector_factorizations(target, atoms, limit))
 
 
+@settings(max_examples=400)
+@given(factorization_systems())
+def test_vector_length_mask_matches_listed_lengths(system):
+    target, atoms = system
+    mask = vector_length_mask(target, atoms)
+    assert mask == sum(1 << k for k in {len(f) for f in vector_factorizations(target, atoms)})
+
+
 def test_vector_factorizations_deep_target():
     # 1000 copies of one atom, more than the default recursion limit allows
     # for a search with one call frame per atom taken
@@ -411,3 +420,84 @@ def test_atom_set_index_and_support_masks():
     with pytest.raises(AtomNotInSet):
         atoms.index(missing)
 
+
+
+def assert_lengths_match_listing(b, atoms):
+    """The table's length set and elasticity against the listed factorizations."""
+    want = {len(f) for f in factorizations(b, atoms)}
+    assert length_set(b, atoms) == want
+    assert elasticity(b, atoms) == (Fraction(max(want), min(want)) if want != {0} else 1)
+
+
+@st.composite
+def class_sets_with_products(draw):
+    """(atoms, a product of up to 4 random atom powers of exponent 1-3) over
+    2-4 classes of a cyclic group, C2 x C2, Z or Z^2, with or without the
+    zero class at a random position."""
+    kind = draw(st.sampled_from(["cyclic", "klein", "rank1", "rank2"]))
+    if kind == "cyclic":
+        group = FinGenAbelianGroup.cyclic(draw(st.integers(3, 7)))
+        pool = [g for g in group.elements() if not g.is_zero()]
+    elif kind == "klein":
+        group = FinGenAbelianGroup(0, (2, 2))
+        pool = [g for g in group.elements() if not g.is_zero()]
+    elif kind == "rank1":
+        group = Z1
+        pool = [group.element((v,)) for v in (-3, -2, -1, 1, 2, 3)]
+    else:
+        group = Z2
+        pool = [group.element((a, b)) for a in (-1, 0, 1) for b in (-2, -1, 0, 1, 2)
+                if (a, b) != (0, 0)]
+    classes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4,
+                            unique_by=lambda g: g.coords()))
+    if draw(st.booleans()):
+        classes.insert(draw(st.integers(0, len(classes))), group.zero())
+    cs = ClassSet(group, tuple(classes))
+    atoms = enumerate_atoms(cs)
+    b = cs.empty_sequence()
+    if len(atoms):
+        for i in draw(st.lists(st.integers(0, len(atoms) - 1), max_size=4)):
+            b = b * atoms[i] ** draw(st.integers(1, 3))
+    return atoms, b
+
+
+@settings(max_examples=150)
+@given(class_sets_with_products())
+def test_length_set_and_elasticity_match_listing(case):
+    atoms, b = case
+    assert_lengths_match_listing(b, atoms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_length_set_matches_listing_on_signed_basis(n):
+    # verify's signed-basis cases: U = e_1...e_n (-f), V = (-e_1)...(-e_n) f
+    cs = signed_basis_set(n)
+    atoms = enumerate_atoms(cs)
+    u = cs.sequence([1] * n + [0] * n + [0, 1])
+    v = cs.sequence([0] * n + [1] * n + [1, 0])
+    for k in (1, 2, 3):
+        assert_lengths_match_listing((u * v) ** k, atoms)
+    assert length_set(u * v, atoms) == {2, n + 1}
+
+
+def test_length_set_checks_and_empty_sequence():
+    cs = ClassSet(C3, (C3.element((1,)), C3.element((2,))))
+    atoms = enumerate_atoms(cs)
+    assert length_set(cs.empty_sequence(), atoms) == {0}
+    assert elasticity(cs.empty_sequence(), atoms) == 1
+    with pytest.raises(NotZeroSum):
+        length_set(cs.sequence((1, 0)), atoms)
+    with pytest.raises(DimensionMismatch):
+        length_set(signed_basis_set(2).empty_sequence(), atoms)
+    assert length_set(cs.sequence((3000, 0)), atoms) == {1000}
+
+
+def test_length_set_budget_counts_table_states():
+    cs = signed_basis_set(3)
+    atoms = enumerate_atoms(cs)
+    uv = cs.sequence((1,) * 8)
+    with pytest.raises(BudgetExceeded, match="length table"):
+        length_set(uv ** 3, atoms, budget=1)
+    with pytest.raises(BudgetExceeded, match="length table"):
+        elasticity(uv ** 3, atoms, budget=1)
+    assert length_set(uv ** 3, atoms) == {6, 8, 10, 12}
