@@ -3,7 +3,11 @@
 Subcommands: atoms | factor | lengths | absirred | classify | verify.
 Human-readable tables by default; ``--machine`` switches to JSON with sorted
 keys, which is the stability contract (timing is shown only in human mode so
-machine reports are byte-identical across runs).
+machine reports are byte-identical across runs).  A machine report is exactly
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written by
+this module's own writer ``_dumps`` (the stdlib runs ``indent`` through its
+pure-Python encoder).  ``build_parser`` builds the parser once per process;
+in-process callers of ``main`` share it.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error,
 3 search budget exceeded.
@@ -12,9 +16,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import krull, zsm
 from .abgroup import DEFAULT_NODE_BUDGET
@@ -211,9 +216,63 @@ def _verify_payload():
 # output
 
 
+def _dumps(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, for trees
+    of str-keyed dicts, lists, tuples, str, int, bool and None; any other type
+    (float included) raises TypeError."""
+    parts = []
+    put = parts.append
+
+    def write(o, pad):
+        if isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                put(sep + encode_basestring_ascii(key) + ": ")
+                write(value, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            kinds = set(map(type, o))
+            if kinds == {int}:
+                put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+            elif kinds == {str}:
+                put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, o))
+                    + pad + "]")
+            else:
+                sep = "[" + inner
+                for item in o:
+                    put(sep)
+                    write(item, inner)
+                    sep = "," + inner
+                put(pad + "]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(report, "\n")
+    return "".join(parts)
+
+
 def _emit(report: dict, machine: bool, elapsed: float):
     if machine:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
         return
     print(f"command: {report['command']}")
     results = report["results"]
@@ -251,7 +310,10 @@ def _emit(report: dict, machine: bool, elapsed: float):
     print(f"elapsed: {elapsed:.3f}s")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; ``main`` uses it
+    too, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="strongatoms",
         description="irreducibles, primes, and absolutely irreducible elements "

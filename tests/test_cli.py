@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from strongatoms.cli import main
+from strongatoms.cli import _dumps, build_parser, main
 from strongatoms.specfile import SpecFileError, load_spec, parse_spec_dict, spec_to_dict
 
 CYCLIC3_SPEC = """{
@@ -297,3 +298,97 @@ def test_module_entry_point(cyclic3):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["count"] == 3
+
+
+# ---------------------------------------------------------------------------
+# machine-report writer and the shared parser
+
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'),
+                              st.characters()))
+json_ints = st.one_of(st.integers(), st.integers(-10**40, 10**40),
+                      st.sampled_from([2**64, -2**100, 10**400]))
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_text)
+json_trees = st.recursive(
+    st.one_of(json_scalars,
+              st.lists(json_ints),
+              st.lists(st.one_of(json_ints, st.booleans(), st.none())),
+              st.lists(json_text)),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               st.dictionaries(json_text, children, max_size=5)),
+    max_leaves=30)
+
+
+@given(json_trees)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}], "d": ()})
+@example([1, True, 2])
+@example([0, False, None, -1])
+def test_dumps_matches_stdlib_encoder(tree):
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_dumps_rejects_other_types():
+    for value in (1.5, [0.0], {"x": 1e300}, {1, 2}, object(), {"x": [object()]}):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def _fresh_run(capsys, argv):
+    """Machine stdout and exit code of ``argv`` on a newly built parser."""
+    build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("first, second", [
+    (["absirred", "--nmax", "3"], ["absirred"]),
+    (["factor", "--sequence", "g^3", "--budget", "5"], ["factor", "--sequence", "g^3"]),
+])
+def test_shared_parser_keeps_no_state(cyclic3, capsys, first, second):
+    first = [first[0], "--spec", cyclic3, "--machine", *first[1:]]
+    second = [second[0], "--spec", cyclic3, "--machine", *second[1:]]
+    expected = _fresh_run(capsys, second)
+    run_cli(capsys, *first)
+    assert run_cli(capsys, *second) == expected
+    assert build_parser().parse_args(second) == build_parser.__wrapped__().parse_args(second)
+    options = json.loads(expected[1])["inputs"]["options"]
+    if second[0] == "absirred":
+        assert options["nmax"] is None
+    else:
+        assert options["budget"] == 10**7
+
+
+def test_shared_parser_after_usage_error(cyclic3, capsys):
+    argv = ["atoms", "--spec", cyclic3, "--machine"]
+    expected = _fresh_run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["atoms", "--spec", cyclic3, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, *argv) == expected
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(argv).command == "atoms"
+
+
+def assert_stdlib_encoded(out):
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(SPECS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_machine_reports_equal_stdlib_encoding(path, capsys):
+    spec = ["--spec", str(path), "--machine"]
+    code, out = run_cli(capsys, "atoms", *spec)
+    assert code == 0
+    assert_stdlib_encoded(out)
+    # one sequence: the product of all atoms
+    atoms = json.loads(out)["results"]["atoms"]
+    seq = ",".join(str(sum(col)) for col in zip(*(a["exponents"] for a in atoms)))
+    for argv in (["factor", "--sequence", seq], ["lengths", "--sequence", seq],
+                 ["absirred", "--nmax", "3"], ["classify"]):
+        code, out = run_cli(capsys, argv[0], *spec, *argv[1:])
+        assert code == 0
+        assert_stdlib_encoded(out)
+
+
+def test_verify_report_equals_stdlib_encoding(capsys):
+    assert_stdlib_encoded(run_cli(capsys, "verify", "--machine")[1])
