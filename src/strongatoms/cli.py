@@ -310,6 +310,16 @@ def _emit(report: dict, machine: bool, elapsed: float):
     print(f"elapsed: {elapsed:.3f}s")
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call; ``main`` uses it
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", required=True, help="path to a JSON spec file")
         p.add_argument("--machine", action="store_true",
                        help="machine-readable JSON report (stable schema)")
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET,
                        help="search node budget")
 
     p_atoms = sub.add_parser("atoms", help="enumerate atoms with verdicts")

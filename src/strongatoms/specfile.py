@@ -9,8 +9,10 @@ Schema::
       "mult":    [1, "inf"]                        # optional, default all 1
     }
 
-Class coordinates are reduced modulo the torsion orders on load; duplicates
-after reduction are rejected.  A spec emitted by :func:`spec_to_dict`
+Every number (free rank, torsion order, class coordinate, multiplicity) must
+be a JSON integer; floats, strings and booleans are rejected, never truncated
+or parsed.  Class coordinates are reduced modulo the torsion orders on load;
+duplicates after reduction are rejected.  A spec emitted by :func:`spec_to_dict`
 re-parses to an equal specification.
 """
 
@@ -28,13 +30,25 @@ class SpecFileError(ValueError):
     """Malformed specification file; the message names the offending field."""
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # not isinstance: a bool is an int
+        raise SpecFileError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _integers(values, what: str) -> list[int]:
+    if not isinstance(values, list):
+        raise SpecFileError(f"{what} must be a list of integers")
+    return [_integer(v, f"{what} entry") for v in values]
+
+
 def parse_spec_dict(data: dict) -> tuple[KrullSpec, tuple[str, ...]]:
     if not isinstance(data, dict):
         raise SpecFileError("top level must be an object")
     try:
         group_part = data["group"]
-        free_rank = int(group_part.get("free_rank", 0))
-        torsion = tuple(int(d) for d in group_part.get("torsion", []))
+        free_rank = _integer(group_part.get("free_rank", 0), "free_rank")
+        torsion = tuple(_integers(group_part.get("torsion", []), "torsion"))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SpecFileError(f"bad 'group' field: {exc}") from exc
     try:
@@ -47,8 +61,7 @@ def parse_spec_dict(data: dict) -> tuple[KrullSpec, tuple[str, ...]]:
         raise SpecFileError("'classes' must be a nonempty list of coordinate vectors")
     elements = []
     for i, coords in enumerate(raw_classes):
-        if not isinstance(coords, list):
-            raise SpecFileError(f"class {i} must be a list of integers")
+        coords = _integers(coords, f"class {i}")
         try:
             elements.append(group.element(coords))
         except Exception as exc:
@@ -65,7 +78,7 @@ def parse_spec_dict(data: dict) -> tuple[KrullSpec, tuple[str, ...]]:
     for i, m in enumerate(raw_mult):
         if m == "inf":
             mult.append(INFINITE)
-        elif isinstance(m, int) and m >= 1:
+        elif type(m) is int and m >= 1:
             mult.append(m)
         else:
             raise SpecFileError(f"mult[{i}] must be a positive integer or \"inf\"")

@@ -427,10 +427,14 @@ def test_minimal_nonneg_kernel_matches_box_minimal_solutions():
         assert sorted(sols) == sorted(box_minimal)
 
 
-def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None):
+def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False):
     """The completion search testing every frontier node and every child
     against every solution found so far, with A*t kept explicitly.  Returns
-    the solutions and the number of frontier insertions."""
+    the solutions and the number of frontier insertions.
+
+    With ``freeze``, coordinates are frozen as in the library: the unit e_i
+    starts with {j < i} frozen, and each candidate coordinate of an expansion
+    is frozen for the later siblings, so no child is reached twice."""
     m = len(columns)
     height = len(columns[0]) if m else 0
     zero = (0,) * height
@@ -442,28 +446,35 @@ def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None):
     frontier = {}
     for i in range(m):
         unit = tuple(int(i == j) for j in range(m))
-        frontier[unit] = columns[i]
+        frontier[unit] = (columns[i], frozenset(range(i) if freeze else ()))
     nodes = 0
     while frontier:
-        for t, v in frontier.items():
+        for t, (v, _) in frontier.items():
             if v == zero and not dominates_some_solution(t):
                 sols.append(t)
                 if limit is not None and len(sols) >= limit:
                     return sols, nodes
         nxt = {}
-        for t, v in frontier.items():
+        for t, (v, frozen) in frontier.items():
             if v == zero or dominates_some_solution(t):
                 continue
             for i in range(m):
                 col = columns[i]
-                if sum(a * b for a, b in zip(v, col)) < 0:
-                    child = t[:i] + (t[i] + 1,) + t[i + 1:]
-                    if child in nxt or dominates_some_solution(child):
-                        continue
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceeded(f"exceeded {budget} nodes")
-                    nxt[child] = tuple(a + b for a, b in zip(v, col))
+                if i in frozen or sum(a * b for a, b in zip(v, col)) >= 0:
+                    continue
+                child = t[:i] + (t[i] + 1,) + t[i + 1:]
+                child_frozen = frozen
+                if freeze:
+                    frozen = frozen | {i}
+                if child in nxt:
+                    assert not freeze, f"{child} reached twice"
+                    continue
+                if dominates_some_solution(child):
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"exceeded {budget} nodes")
+                nxt[child] = (tuple(a + b for a, b in zip(v, col)), child_frozen)
         frontier = nxt
     return sols, nodes
 
@@ -488,21 +499,104 @@ def small_systems(draw):
 @given(small_systems())
 def test_minimal_nonneg_kernel_matches_linear_scan(cols):
     # a few percent of these systems need more insertions than the slow
-    # reference should make; there both searches must stop at the same cap
+    # reference should make; there the library must stop where the frozen
+    # reference stops
     cap = 2000
     try:
-        want, n = linear_scan_minimal_nonneg_kernel(cols, cap)
+        want, unfrozen_nodes = linear_scan_minimal_nonneg_kernel(cols, cap)
     except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            minimal_nonneg_kernel(cols, budget=cap)
+        try:
+            want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, freeze=True)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                minimal_nonneg_kernel(cols, budget=cap)
+        else:
+            assert minimal_nonneg_kernel(cols, budget=cap) == want
         return
+    frozen_want, n = linear_scan_minimal_nonneg_kernel(cols, cap, freeze=True)
+    assert frozen_want == want
+    assert n <= unfrozen_nodes
     assert minimal_nonneg_kernel(cols, budget=n) == want
-    for limit in (1, 2):
-        want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, limit)
-        assert minimal_nonneg_kernel(cols, limit=limit) == want
     if n:
         with pytest.raises(BudgetExceeded):
             minimal_nonneg_kernel(cols, budget=n - 1)
+    for limit in (1, 2):
+        want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, limit)
+        assert minimal_nonneg_kernel(cols, limit=limit) == want
+
+
+def indexed_minimal_nonneg_kernel(columns, limit=None):
+    """The completion search without frozen coordinates: a frontier dict that
+    drops a child already reached from an earlier parent, with the bucket
+    index for the domination test and inner products from the Gram matrix."""
+    m = len(columns)
+    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
+            for ci in columns]
+    sols = []
+    buckets = [{} for _ in range(m)]
+    frontier = {}
+    for i in range(m):
+        unit = tuple(int(i == j) for j in range(m))
+        frontier[unit] = (gram[i], gram[i][i], 1 << i)
+    while frontier:
+        for t, (_, norm, mask) in frontier.items():
+            if norm == 0:
+                sols.append(t)
+                if limit is not None and len(sols) >= limit:
+                    return sols
+                for j, x in enumerate(t):
+                    if x:
+                        buckets[j].setdefault(x, []).append((mask, t))
+        nxt = {}
+        for t, (d, norm, mask) in frontier.items():
+            if norm == 0:
+                continue
+            for i, di in enumerate(d):
+                if di >= 0:
+                    continue
+                ti = t[i] + 1
+                child = t[:i] + (ti,) + t[i + 1:]
+                if child in nxt:
+                    continue
+                cmask = mask | (1 << i)
+                outside = ~cmask
+                for smask, s in buckets[i].get(ti, ()):
+                    if not smask & outside and all(a >= b for a, b in zip(child, s)):
+                        break
+                else:
+                    gi = gram[i]
+                    nxt[child] = (tuple(a + b for a, b in zip(d, gi)),
+                                  norm + 2 * di + gi[i], cmask)
+        frontier = nxt
+    return sols
+
+
+def _signed_basis_columns(n):
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    ones = (1,) * n
+    return basis + [tuple(-x for x in b) for b in basis] + [ones, tuple(-x for x in ones)]
+
+
+def _larger_systems():
+    for n in range(3, 9):
+        yield f"signed basis n={n}", _signed_basis_columns(n)
+    for order_ in range(7, 10):
+        for g in abelian_groups_of_order(order_):
+            nonzero = [x for x in g.elements() if not x.is_zero()]
+            name = "+".join(f"Z/{d}" for d in g.torsion)
+            yield f"B({name} minus 0)", zero_sum_columns(g, nonzero)
+    for values in ((-1, -2, 3), (-3, -5, 7), (-2, -7, 5), (-1, -4, 6),
+                   (-3, -4, 5), (-5, -6, 7), (-2, -5, 9), (-4, -7, 3, 6)):
+        yield f"rank 1 {values}", [(v,) for v in values]
+
+
+@pytest.mark.parametrize("name, cols", list(_larger_systems()),
+                         ids=[name for name, _ in _larger_systems()])
+def test_minimal_nonneg_kernel_matches_indexed_search_on_larger_systems(name, cols):
+    assert minimal_nonneg_kernel(cols) == indexed_minimal_nonneg_kernel(cols)
+    for limit in (1, 2):
+        assert (minimal_nonneg_kernel(cols, limit=limit)
+                == indexed_minimal_nonneg_kernel(cols, limit=limit))
 
 
 def test_snf_wider_random_matrices():

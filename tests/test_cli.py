@@ -231,6 +231,60 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert main(["atoms", "--spec", str(dup)]) == 2
 
 
+def _spec_exit_code(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["atoms", "--spec", str(path), "--machine"])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("free_rank", [1.0, 1.5, "1", True])
+def test_exit_code_non_integer_free_rank(tmp_path, capsys, free_rank):
+    spec = {"group": {"free_rank": free_rank}, "classes": [[1], [-1]]}
+    code, captured = _spec_exit_code(tmp_path, capsys, spec)
+    assert code == 2 and captured.out == ""
+    assert "free_rank must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("torsion", [[3.9], ["3"], [True, 3], 3, "3"])
+def test_exit_code_non_integer_torsion(tmp_path, capsys, torsion):
+    spec = {"group": {"free_rank": 0, "torsion": torsion}, "classes": [[1], [2]]}
+    code, captured = _spec_exit_code(tmp_path, capsys, spec)
+    assert code == 2 and captured.out == ""
+    assert "torsion" in captured.err
+
+
+@pytest.mark.parametrize("classes, bad", [([[1.5], [2.2]], "class 0"), ([[1], ["2"]], "class 1"),
+                                          ([[1], [True]], "class 1"), ([[1], 2], "class 1")])
+def test_exit_code_non_integer_classes(tmp_path, capsys, classes, bad):
+    spec = {"group": {"free_rank": 0, "torsion": [3]}, "classes": classes}
+    code, captured = _spec_exit_code(tmp_path, capsys, spec)
+    assert code == 2 and captured.out == ""
+    assert bad in captured.err
+
+
+def test_exit_code_boolean_mult(tmp_path, capsys):
+    spec = {"group": {"free_rank": 0, "torsion": [3]}, "classes": [[1], [2]],
+            "mult": [True, 1]}
+    code, captured = _spec_exit_code(tmp_path, capsys, spec)
+    assert code == 2 and "mult[0]" in captured.err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0", "x", "1.5"])
+def test_budget_must_be_a_positive_integer(cyclic3, capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["atoms", "--spec", cyclic3, "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget" in captured.err
+
+
+def test_budget_of_one_is_accepted(cyclic3, capsys):
+    # one node is too few for any atom search, but it is a valid budget
+    assert main(["atoms", "--spec", cyclic3, "--budget", "1"]) == 3
+    assert "exceeded 1 nodes" in capsys.readouterr().err
+
+
 def test_exit_code_non_zero_sum(cyclic3, capsys):
     assert main(["factor", "--spec", cyclic3, "--sequence", "g"]) == 2
 
