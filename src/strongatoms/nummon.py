@@ -4,14 +4,14 @@ Only the additive exponent structure is modeled here.  Multiplicative
 distinctions of an ambient ring (unit groups, coefficient fields) are out of
 scope: the interval monoid with n = 1 is factorial as a monoid regardless of
 what a surrounding ring does.  The generated kind is a small extension kept
-for reuse.  All operations are pure.
+for reuse.  All operations are pure, and no membership table outlives the
+call that built it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NoWitness, NotMember
 
@@ -49,11 +49,11 @@ class NumericalMonoid:
             return True
         if self.kind == "interval":
             return x >= self.data[0]
-        return x in _reachable(self.data, x)
+        return _members_up_to(self.data, x)[x]
 
 
-@lru_cache(maxsize=None)
-def _reachable(gens: tuple[int, ...], limit: int) -> frozenset[int]:
+def _members_up_to(gens: tuple[int, ...], limit: int) -> list[bool]:
+    """Entry v tells whether v is a sum of generators, for v = 0..limit."""
     ok = [False] * (limit + 1)
     ok[0] = True
     for v in range(1, limit + 1):
@@ -61,7 +61,7 @@ def _reachable(gens: tuple[int, ...], limit: int) -> frozenset[int]:
             if g <= v and ok[v - g]:
                 ok[v] = True
                 break
-    return frozenset(v for v in range(limit + 1) if ok[v])
+    return ok
 
 
 def nm_atoms(m: NumericalMonoid) -> tuple[int, ...]:
@@ -69,12 +69,10 @@ def nm_atoms(m: NumericalMonoid) -> tuple[int, ...]:
     if m.kind == "interval":
         n = m.data[0]
         return tuple(range(n, 2 * n))
-    atoms = []
-    for g in m.data:
-        # g is an atom unless it splits as a sum of two nonzero members
-        if not any(m.contains(a) and m.contains(g - a) for a in range(1, g)):
-            atoms.append(g)
-    return tuple(atoms)
+    member = _members_up_to(m.data, max(m.data))
+    # g is an atom unless it splits as a sum of two nonzero members
+    return tuple(g for g in m.data
+                 if not any(member[a] and member[g - a] for a in range(1, g)))
 
 
 def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:

@@ -3,13 +3,21 @@
 A sequence is an exponent vector over an ordered list of distinct group
 elements.  Atoms (minimal zero-sum sequences) are enumerated with the
 completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
-mixed free/torsion groups without an a-priori degree bound; factorizations
-into atoms are enumerated by choosing atom multiplicities in turn on an
-explicit stack, so each multiset of atoms is produced exactly once.  Length
-sets and elasticity list no factorization: they come from a table of length
-bitmasks keyed by the remaining exponent vector.  That table reaches a
-multiset of atoms once for each of its atoms in the remainder's first class,
-so it gives lengths, not factorization counts.
+mixed free/torsion groups without an a-priori degree bound.
+
+Factorizations and length sets both come from tables keyed by the remaining
+exponent vector and filled from an explicit stack.  With j the remainder's
+first nonzero class, every atom that fits the remainder is zero before j.
+The factorization table splits each factorization uniquely into its *block*,
+the atoms nonzero in class j (their class-j entries sum to exactly the
+remainder's), and a factorization of what the block leaves, which is zero
+through j; each multiset of atoms is therefore produced exactly once.  Each
+state keeps its lexicographically first ``limit`` entries, which is exact
+because merging a block into the sorted entries of one remainder keeps their
+order (no factorization of a remainder is a prefix of another).  Length sets
+and elasticity list no factorization: their table holds length bitmasks and
+steps one atom of class j at a time, so it reaches a multiset of atoms once
+for each of its atoms in class j and gives lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence as Seq
 
 from .abgroup import (
@@ -291,88 +300,130 @@ class Factorization:
         return out
 
 
+def _fitting_by_first_class(target: Seq[int],
+                            atom_vectors: Seq[tuple[int, ...]]) -> list[list[int]]:
+    """The indices of the atoms that fit ``target``, in increasing order,
+    grouped by their first nonzero class."""
+    by_first: list[list[int]] = [[] for _ in target]
+    for i, v in enumerate(atom_vectors):
+        if all(map(le, v, target)):
+            by_first[next(j for j, x in enumerate(v) if x)].append(i)
+    return by_first
+
+
+def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
+            atom_vectors: Seq[tuple[int, ...]],
+            supports: Mapping[int, tuple[int, ...]]) -> tuple[list, int]:
+    """The blocks of ``rem``: each multiset of the candidate atoms (those that
+    fit rem and are nonzero in rem's first nonzero class j) whose class-j
+    entries sum to exactly rem[j] and whose sum fits rem, as pairs (sorted
+    atom indices, rem minus the block's sum), with the number of counts tried.
+
+    Candidates are taken in order, each with as many copies as fit and then
+    one fewer at a time, on a stack of (position, copies) pairs; the last
+    candidate is taken only with the copies that close class j exactly.
+    """
+    out = []
+    res = list(rem)
+    last = len(candidates) - 1
+    stack: list[tuple[int, int]] = []     # (position, copies), positions increasing
+    pos = 0                               # the next candidate taken is at least this
+    tried = 0
+    while True:
+        if not res[j]:
+            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)),
+                        tuple(res)))
+        else:
+            c = 0
+            while pos <= last:
+                i = candidates[pos]
+                v = atom_vectors[i]
+                c = min(res[s] // v[s] for s in supports[i])
+                if pos == last and c * v[j] != res[j]:
+                    c = 0
+                if c:
+                    break
+                pos += 1
+            if c:
+                tried += 1
+                for s in supports[i]:
+                    res[s] -= c * v[s]
+                stack.append((pos, c))
+                pos += 1
+                continue
+        # step the deepest count down by one; the last candidate's count is
+        # forced, so it is dropped instead
+        while stack:
+            p, c = stack.pop()
+            i = candidates[p]
+            v = atom_vectors[i]
+            if p == last:
+                for s in supports[i]:
+                    res[s] += c * v[s]
+                continue
+            for s in supports[i]:
+                res[s] += v[s]
+            if c > 1:
+                tried += 1
+                stack.append((p, c - 1))
+            pos = p + 1
+            break
+        else:
+            return out, tried
+
+
 def vector_factorizations(target: Seq[int],
                           atom_vectors: Seq[tuple[int, ...]],
                           *, budget: int = DEFAULT_NODE_BUDGET,
                           limit: int | None = None) -> list[tuple[int, ...]]:
     """All multisets of nonzero atom vectors summing to ``target``, as sorted
-    index tuples in lexicographic order.
+    index tuples in lexicographic order; with ``limit``, the first ``limit``
+    of them.
 
-    Takes atoms in increasing index order, each with as many copies as fit and
-    then one fewer at a time, on a stack of (atom, copies) pairs as deep as
-    the number of atoms.  The next atom is looked up among those whose support
-    lies inside the remainder's (one next-index table per distinct support),
-    and a remainder that the later atoms cannot cover ends the choices.
-    ``budget`` counts the pairs pushed: nonzero counts set or stepped down by
-    one; ``limit`` stops once that many factorizations are found.
+    A table over remainders, filled from an explicit stack: F(0) = [()], and
+    otherwise, with j rem's first nonzero class, every atom that fits rem is
+    zero before j, so a factorization of rem splits uniquely into its block
+    (its atoms that are nonzero in class j, whose class-j entries sum to
+    rem[j]) and a factorization of rem minus the block's sum, which is zero
+    through j.  F(rem) is the sorted merge of each block into each entry of
+    F(rem - block).  Each state keeps its first ``limit`` entries: merging a
+    fixed multiset into sorted tuples keeps the order of two tuples unless one
+    is a prefix of the other, and two factorizations of one remainder never
+    are (atoms are nonzero), so a block's first ``limit`` merges come from
+    the first ``limit`` entries of its remainder.  The whole reachable table
+    is filled even with ``limit``.  ``budget`` counts the table's states plus
+    the counts tried while listing blocks.
     """
-    n = len(atom_vectors)
-    supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
-    masks = [support_mask(v) for v in atom_vectors]
-    suffix_cover = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
-    # need -> nxt, where nxt[i] is the first atom from i on whose support lies
-    # inside need (n if none)
-    fitting: dict[int, list[int]] = {}
-
-    out: list[tuple[int, ...]] = []
-    rem = list(target)
-    need = support_mask(rem)              # the support of rem
-    stack: list[tuple[int, int]] = []     # (atom, copies taken), atoms increasing
-    start = 0                             # the next atom taken is at least this
+    by_first = _fitting_by_first_class(target, atom_vectors)
+    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
+                for fitting in by_first for i in fitting}
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * len(target): [()]}
+    stack: list[tuple[tuple[int, ...], list | None]] = [(tuple(target), None)]
     nodes = 0
-    while True:
-        if nodes > budget:
-            raise BudgetExceeded(f"factorization search exceeded {budget} divisions")
-        if not need:
-            out.append(tuple(i for i, c in stack for _ in range(c)))
-            if limit is not None and len(out) >= limit:
-                return out
-        elif not need & ~suffix_cover[start]:
-            nxt = fitting.get(need)
-            if nxt is None:
-                nxt = [n] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    nxt[i] = nxt[i + 1] if masks[i] & ~need else i
-                fitting[need] = nxt
-            c = 0
-            i = nxt[start]
-            while i < n and not need & ~suffix_cover[i]:
-                v = atom_vectors[i]
-                c = min(rem[j] // v[j] for j in supports[i])
-                if c:
-                    break
-                i = nxt[i + 1]
-            if c:
-                nodes += 1
-                for j in supports[i]:
-                    rem[j] -= c * v[j]
-                    if not rem[j]:
-                        need &= ~(1 << j)
-                stack.append((i, c))
-                start = i + 1
+    while stack:
+        rem, blocks = stack[-1]
+        if blocks is None:
+            if rem in table:
+                stack.pop()
                 continue
-        # backtrack to the deepest atom whose count can step down by one, or
-        # to zero if later atoms may replace it; stepping down only adds to
-        # the need, so an uncovered step ends that atom's choices
-        while stack:
-            i, c = stack.pop()
-            need |= masks[i]
-            v = atom_vectors[i]
-            if need & ~suffix_cover[i + 1]:
-                for j in supports[i]:
-                    rem[j] += c * v[j]
+            j = next(j for j, r in enumerate(rem) if r)
+            candidates = [i for i in by_first[j] if all(map(le, atom_vectors[i], rem))]
+            blocks, tried = _blocks(rem, j, candidates, atom_vectors, supports)
+            nodes += 1 + tried
+            if nodes > budget:
+                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+            stack[-1] = (rem, blocks)
+            pending = [(c, None) for _, c in blocks if c not in table]
+            if pending:
+                stack.extend(pending)
                 continue
-            for j in supports[i]:
-                rem[j] += v[j]
-            if c > 1:
-                nodes += 1
-                stack.append((i, c - 1))
-            start = i + 1
-            break
-        else:
-            return out
+        entries = [tuple(sorted(f + block)) for block, c in blocks for f in table[c]]
+        entries.sort()
+        if limit is not None:
+            del entries[limit:]
+        table[rem] = entries
+        stack.pop()
+    return table[tuple(target)]
 
 
 def vector_length_mask(target: Seq[int],
@@ -387,10 +438,8 @@ def vector_length_mask(target: Seq[int],
     since an atom that fits rem is zero before j.  The table is filled from
     an explicit stack; ``budget`` counts its states.
     """
-    by_first: list[list[tuple[int, ...]]] = [[] for _ in target]
-    for v in atom_vectors:
-        if all(x <= t for x, t in zip(v, target)):
-            by_first[next(j for j, x in enumerate(v) if x)].append(v)
+    by_first = [[atom_vectors[i] for i in fitting]
+                for fitting in _fitting_by_first_class(target, atom_vectors)]
     table = {(0,) * len(target): 1}
     stack: list[tuple[tuple[int, ...], list | None]] = [(tuple(target), None)]
     while stack:
@@ -401,7 +450,7 @@ def vector_length_mask(target: Seq[int],
                 continue
             j = next(j for j, r in enumerate(rem) if r)
             children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
-                        if all(x <= r for x, r in zip(a, rem))]
+                        if all(map(le, a, rem))]
             stack[-1] = (rem, children)
             pending = [(c, None) for c in children if c not in table]
             if pending:

@@ -301,6 +301,15 @@ def test_exit_code_budget_lengths(cyclic3, capsys):
     assert "length table" in capsys.readouterr().err
 
 
+def test_exit_code_budget_factor(cyclic3, capsys):
+    # atom enumeration fits in 10 nodes, the factorization table of
+    # g^30 (2g)^30 does not
+    assert main(["factor", "--spec", cyclic3, "--sequence", "g^30,2g^30",
+                 "--budget", "10"]) == 3
+    assert "factorization table exceeded 10 nodes" in capsys.readouterr().err
+    assert main(["atoms", "--spec", cyclic3, "--budget", "10"]) == 0
+
+
 def test_spec_round_trip(signed_basis, capsys):
     spec, labels = load_spec(signed_basis)
     reparsed, labels2 = parse_spec_dict(spec_to_dict(spec, labels))

@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from strongatoms import nummon
 from strongatoms.errors import NoWitness, NotMember
 from strongatoms.nummon import (
     NumericalMonoid,
@@ -99,6 +100,38 @@ def test_generated_minimal_generators():
     assert nm_atoms(NumericalMonoid.generated(4, 6, 9)) == (4, 6, 9)
     assert nm_atoms(NumericalMonoid.generated(3, 5, 7)) == (3, 5, 7)
     assert nm_atoms(NumericalMonoid.generated(2, 5, 9)) == (2, 5)
+
+
+GENERATOR_SETS = [(3, 5), (4, 6, 9), (2, 5, 9, 11), (5, 7, 11, 13), (7, 11),
+                  (2, 3, 4), (2, 5, 9), (6, 10, 15), (1,), (1, 4, 9)]
+
+
+def sums_of_generators(gens, limit):
+    """Oracle: the values 0..limit reachable by adding generators, grown as a
+    set closure."""
+    reached = {0}
+    frontier = {0}
+    while frontier:
+        frontier = {v + g for v in frontier for g in gens if v + g <= limit} - reached
+        reached |= frontier
+    return reached
+
+
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+def test_generated_membership_and_atoms_match_closure(gens):
+    m = NumericalMonoid.generated(*gens)
+    reached = sums_of_generators(m.data, 60)
+    assert [x for x in range(-3, 61) if m.contains(x)] == sorted(reached)
+    # an atom is a generator that is no sum of two nonzero members
+    want = tuple(g for g in m.data
+                 if not any(a in reached and g - a in reached for a in range(1, g)))
+    assert nm_atoms(m) == want
+
+
+def test_membership_keeps_no_process_global_cache():
+    m = NumericalMonoid.generated(7, 11)
+    assert [m.contains(x) for x in range(1000, 1010)] == [True] * 10
+    assert not [name for name, obj in vars(nummon).items() if hasattr(obj, "cache_info")]
 
 
 def test_generated_factorization_counts_match_dp():

@@ -353,6 +353,110 @@ def test_vector_length_mask_matches_listed_lengths(system):
     assert mask == sum(1 << k for k in {len(f) for f in vector_factorizations(target, atoms)})
 
 
+def next_index_vector_factorizations(target, atom_vectors, limit=None):
+    """Reference: the former explicit-stack search over atom multiplicities,
+    taking atoms in increasing index order, each with as many copies as fit
+    and then one fewer at a time, the next atom looked up among those whose
+    support lies inside the remainder's."""
+    n = len(atom_vectors)
+    supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
+    masks = [sum(1 << j for j in s) for s in supports]
+    suffix_cover = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
+    fitting = {}
+    out = []
+    rem = list(target)
+    need = sum(1 << j for j, r in enumerate(rem) if r)
+    stack = []
+    start = 0
+    while True:
+        if not need:
+            out.append(tuple(i for i, c in stack for _ in range(c)))
+            if limit is not None and len(out) >= limit:
+                return out
+        elif not need & ~suffix_cover[start]:
+            nxt = fitting.get(need)
+            if nxt is None:
+                nxt = [n] * (n + 1)
+                for i in range(n - 1, -1, -1):
+                    nxt[i] = nxt[i + 1] if masks[i] & ~need else i
+                fitting[need] = nxt
+            c = 0
+            i = nxt[start]
+            while i < n and not need & ~suffix_cover[i]:
+                v = atom_vectors[i]
+                c = min(rem[j] // v[j] for j in supports[i])
+                if c:
+                    break
+                i = nxt[i + 1]
+            if c:
+                for j in supports[i]:
+                    rem[j] -= c * v[j]
+                    if not rem[j]:
+                        need &= ~(1 << j)
+                stack.append((i, c))
+                start = i + 1
+                continue
+        while stack:
+            i, c = stack.pop()
+            need |= masks[i]
+            v = atom_vectors[i]
+            if need & ~suffix_cover[i + 1]:
+                for j in supports[i]:
+                    rem[j] += c * v[j]
+                continue
+            for j in supports[i]:
+                rem[j] += v[j]
+            if c > 1:
+                stack.append((i, c - 1))
+            start = i + 1
+            break
+        else:
+            return out
+
+
+@settings(max_examples=400)
+@given(factorization_systems(), st.randoms(use_true_random=False))
+def test_vector_factorizations_matches_next_index_search(system, rng):
+    target, atoms = system
+    shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
+    rng.shuffle(shuffled)
+    for vectors in (atoms, shuffled):
+        full = vector_factorizations(target, vectors)
+        assert full == next_index_vector_factorizations(target, vectors)
+        for limit in (1, 2, 3):
+            assert vector_factorizations(target, vectors, limit=limit) == full[:limit]
+            assert (next_index_vector_factorizations(target, vectors, limit)
+                    == full[:limit])
+
+
+# the B(Z/n \ 0) targets of the benchmark's lengths workload
+LENGTHS_WORKLOAD_TARGETS = [
+    (4, (16, 16, 16)), (5, (10, 10, 10, 10)), (5, (8, 8, 8, 8)), (5, (10, 9, 10, 8)),
+    (6, (6, 6, 6, 6, 6)), (6, (5, 6, 4, 6, 5)), (6, (6, 5, 6, 5, 6)),
+    (7, (4, 4, 4, 4, 4, 4)), (7, (3, 4, 3, 4, 3, 2)), (7, (3, 3, 3, 3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("n, target", LENGTHS_WORKLOAD_TARGETS)
+def test_vector_factorizations_matches_next_index_search_on_cyclic(n, target):
+    group = FinGenAbelianGroup.cyclic(n)
+    cs = ClassSet(group, tuple(group.element((k,)) for k in range(1, n)))
+    vectors = [a.exponents for a in enumerate_atoms(cs)]
+    full = vector_factorizations(target, vectors)
+    assert full == next_index_vector_factorizations(target, vectors)
+    assert vector_factorizations(target, vectors, limit=2) == full[:2]
+
+
+def test_vector_factorizations_many_first_class_atoms():
+    # more atoms in the target's first class than the default recursion
+    # limit, so a search with one call frame per such atom could not return
+    atoms = [(1, i) for i in range(3000)] + [(0, 2999)]
+    assert vector_factorizations((1, 2999), atoms) == [(0, 3000), (2999,)]
+    assert vector_factorizations((1, 2999), atoms, limit=1) == [(0, 3000)]
+
+
 def test_vector_factorizations_deep_target():
     # 1000 copies of one atom, more than the default recursion limit allows
     # for a search with one call frame per atom taken
