@@ -11,10 +11,10 @@ first nonzero class, every atom that fits the remainder is zero before j.
 The factorization table splits each factorization uniquely into its *block*,
 the atoms nonzero in class j (their class-j entries sum to exactly the
 remainder's), and a factorization of what the block leaves, which is zero
-through j; each multiset of atoms is therefore produced exactly once.  Each
-state keeps its lexicographically first ``limit`` entries, which is exact
-because merging a block into the sorted entries of one remainder keeps their
-order (no factorization of a remainder is a prefix of another).  Length sets
+through j; each multiset of atoms is therefore produced exactly once.  A
+call that asks only for the first few factorizations does not fill that
+table: a lexicographic search over atom multiplicities stops once it has
+them, and records the remainders it found no factorization of.  Length sets
 and elasticity list no factorization: their table holds length bitmasks and
 steps one atom of class j at a time, so it reaches a multiset of atoms once
 for each of its atoms in class j and gives lengths, not factorization counts.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import le
+from operator import le, sub
 from typing import Iterable, Iterator, Mapping, Sequence as Seq
 
 from .abgroup import (
@@ -313,22 +313,24 @@ def _fitting_by_first_class(target: Seq[int],
 
 def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
             atom_vectors: Seq[tuple[int, ...]],
-            supports: Mapping[int, tuple[int, ...]]) -> tuple[list, int]:
-    """The blocks of ``rem``: each multiset of the candidate atoms (those that
-    fit rem and are nonzero in rem's first nonzero class j) whose class-j
+            supports: Mapping[int, tuple[int, ...]],
+            nodes: int, budget: int) -> tuple[list, int]:
+    """The blocks of ``rem``: each multiset of the candidate atoms (the atoms
+    whose first nonzero class is rem's first nonzero class j) whose class-j
     entries sum to exactly rem[j] and whose sum fits rem, as pairs (sorted
-    atom indices, rem minus the block's sum), with the number of counts tried.
+    atom indices, rem minus the block's sum), with ``nodes`` plus the number
+    of counts tried.
 
     Candidates are taken in order, each with as many copies as fit and then
     one fewer at a time, on a stack of (position, copies) pairs; the last
     candidate is taken only with the copies that close class j exactly.
+    Raises BudgetExceeded as soon as the node count passes ``budget``.
     """
     out = []
     res = list(rem)
     last = len(candidates) - 1
     stack: list[tuple[int, int]] = []     # (position, copies), positions increasing
     pos = 0                               # the next candidate taken is at least this
-    tried = 0
     while True:
         if not res[j]:
             out.append((tuple(candidates[p] for p, c in stack for _ in range(c)),
@@ -345,7 +347,9 @@ def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
                     break
                 pos += 1
             if c:
-                tried += 1
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
                 for s in supports[i]:
                     res[s] -= c * v[s]
                 stack.append((pos, c))
@@ -364,12 +368,163 @@ def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
             for s in supports[i]:
                 res[s] += v[s]
             if c > 1:
-                tried += 1
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
                 stack.append((p, c - 1))
             pos = p + 1
             break
         else:
-            return out, tried
+            return out, nodes
+
+
+def _all_factorizations(target: tuple[int, ...],
+                        atom_vectors: Seq[tuple[int, ...]],
+                        budget: int) -> list[tuple[int, ...]]:
+    """Every factorization of ``target``, from the block table described in
+    :func:`vector_factorizations`.
+
+    A first pass lists the blocks of every reachable remainder from an
+    explicit stack, counting how many blocks leave each remainder, and
+    records the remainders children first.  A second pass fills the table in
+    that order and frees a remainder's list once the last block that leaves
+    it has been merged, so memory holds the blocks, the output and the lists
+    still awaited.  Nodes are table states, counts tried while listing
+    blocks, and merged entries; each is counted before it is made.
+    """
+    by_first = _fitting_by_first_class(target, atom_vectors)
+    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
+                for fitting in by_first for i in fitting}
+    zero = (0,) * len(target)
+    blocks: dict[tuple[int, ...], list] = {zero: []}
+    uses: dict[tuple[int, ...], int] = {}   # remainder -> blocks that leave it
+    order: list[tuple[int, ...]] = []     # remainders, each after those it leaves
+    stack = [(target, False)]
+    nodes = 0
+    while stack:
+        rem, listed = stack.pop()
+        if listed:
+            order.append(rem)
+            continue
+        if rem in blocks:
+            continue
+        j = next(j for j, r in enumerate(rem) if r)
+        nodes += 1
+        blocks[rem], nodes = _blocks(rem, j, by_first[j], atom_vectors, supports,
+                                     nodes, budget)
+        stack.append((rem, True))
+        for _, c in blocks[rem]:
+            uses[c] = uses.get(c, 0) + 1
+            if c not in blocks:
+                stack.append((c, False))
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {zero: [()]}
+    for rem in order:
+        entries = []
+        for block, c in blocks.pop(rem):
+            below = table[c]
+            nodes += len(below)
+            if nodes > budget:
+                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+            entries.extend([tuple(sorted(f + block)) for f in below])
+            uses[c] -= 1
+            if not uses[c]:
+                del table[c]
+        entries.sort()
+        table[rem] = entries
+    return table[target]
+
+
+# a level that ends without a factorization after fewer counts than this is
+# searched again rather than remembered, which bounds the memory of the record
+_DEAD_LEVEL_NODES = 16
+
+
+def _first_factorizations(target: tuple[int, ...],
+                          atom_vectors: Seq[tuple[int, ...]],
+                          budget: int, limit: int) -> list[tuple[int, ...]]:
+    """The first ``limit`` factorizations of ``target``, from a
+    lexicographic search that stops once it has them.
+
+    Each level of an explicit stack holds a remainder and the first atom it
+    may take; it takes atoms in increasing index order, each with as many
+    copies as fit and then one fewer at a time, and the next level starts
+    after that atom.  A remainder's factorizations all take an atom of its
+    first nonzero class, so a level takes no atom past the last such atom
+    that fits, and that atom only with the copies that close the class; nor
+    does it go on once the atoms after the current one miss a class of its
+    remainder.  A level that ends without a factorization, after at least
+    ``_DEAD_LEVEL_NODES`` counts, records its remainder as dead from its
+    first atom on; a level reached again with that remainder at the same or
+    a later atom ends at once.  Nodes are the counts tried: set, or stepped
+    down by one.  The counts are those of a plain multiplicity search, in
+    its order, less some that lead to no factorization.
+    """
+    by_first = _fitting_by_first_class(target, atom_vectors)
+    order = sorted(i for fitting in by_first for i in fitting)
+    position = {i: p for p, i in enumerate(order)}
+    first_class = [[position[i] for i in fitting] for fitting in by_first]
+    vectors = [atom_vectors[i] for i in order]
+    supports = [tuple(j for j, x in enumerate(v) if x) for v in vectors]
+    masks = [support_mask(v) for v in vectors]
+    cover = [0] * (len(order) + 1)    # the classes of the atoms from a position on
+    for p in range(len(order) - 1, -1, -1):
+        cover[p] = cover[p + 1] | masks[p]
+    # remainder -> a position from which on it has no factorization
+    dead: dict[tuple[int, ...], int] = {}
+    out: list[tuple[int, ...]] = []
+    # [rem, need, start, end, j, found and nodes before it, position, copies]
+    levels: list[list] = []
+    rem, need, start = target, support_mask(target), 0
+    nodes = 0
+    while True:
+        if not need:
+            out.append(tuple(order[lv[7]] for lv in levels for _ in range(lv[8])))
+            if len(out) >= limit:
+                return out
+        elif start < dead.get(rem, len(order)):
+            j = (need & -need).bit_length() - 1
+            end = 0
+            for p in reversed(first_class[j]):
+                if all(map(le, vectors[p], rem)):
+                    end = p + 1
+                    break
+            levels.append([rem, need, start, end, j, len(out), nodes, start, 0])
+        while levels:
+            level = levels[-1]
+            above, need, first, end, j, found, entered, p, c = level
+            # one copy fewer leaves every class of the remainder open
+            if c > 1 and p < end - 1 and not need & ~cover[p + 1]:
+                c -= 1
+            else:
+                if c:
+                    p += 1
+                c = 0
+                while p < end and not need & ~cover[p]:
+                    if not masks[p] & ~need:
+                        v = vectors[p]
+                        c = min([above[s] // v[s] for s in supports[p]])
+                        if p == end - 1 and c * v[j] != above[j]:
+                            c = 0
+                        if c:
+                            break
+                    p += 1
+            if c:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"factorization search exceeded {budget} nodes")
+                level[7], level[8] = p, c
+                v = vectors[p] if c == 1 else [c * x for x in vectors[p]]
+                rem = tuple(map(sub, above, v))
+                for s in supports[p]:
+                    if not rem[s]:
+                        need ^= 1 << s
+                start = p + 1
+                break
+            levels.pop()
+            if len(out) == found and nodes - entered >= _DEAD_LEVEL_NODES:
+                dead[above] = first
+        else:
+            return out
 
 
 def vector_factorizations(target: Seq[int],
@@ -380,50 +535,23 @@ def vector_factorizations(target: Seq[int],
     index tuples in lexicographic order; with ``limit``, the first ``limit``
     of them.
 
-    A table over remainders, filled from an explicit stack: F(0) = [()], and
-    otherwise, with j rem's first nonzero class, every atom that fits rem is
-    zero before j, so a factorization of rem splits uniquely into its block
-    (its atoms that are nonzero in class j, whose class-j entries sum to
-    rem[j]) and a factorization of rem minus the block's sum, which is zero
-    through j.  F(rem) is the sorted merge of each block into each entry of
-    F(rem - block).  Each state keeps its first ``limit`` entries: merging a
-    fixed multiset into sorted tuples keeps the order of two tuples unless one
-    is a prefix of the other, and two factorizations of one remainder never
-    are (atoms are nonzero), so a block's first ``limit`` merges come from
-    the first ``limit`` entries of its remainder.  The whole reachable table
-    is filled even with ``limit``.  ``budget`` counts the table's states plus
-    the counts tried while listing blocks.
+    Without ``limit``, a table over remainders: F(0) = [()], and otherwise,
+    with j rem's first nonzero class, every atom that fits rem is zero before
+    j, so a factorization of rem splits uniquely into its block (its atoms
+    that are nonzero in class j, whose class-j entries sum to rem[j]) and a
+    factorization of rem minus the block's sum, which is zero through j.
+    F(rem) is the sorted merge of each block into each entry of
+    F(rem - block).  ``budget`` counts the table's states, the counts tried
+    while listing blocks and the merged entries.
+
+    With ``limit``, a lexicographic search over atom multiplicities that
+    stops at the ``limit``-th factorization and records the remainders it
+    found no factorization of; ``budget`` counts the multiplicities tried.
     """
-    by_first = _fitting_by_first_class(target, atom_vectors)
-    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
-                for fitting in by_first for i in fitting}
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * len(target): [()]}
-    stack: list[tuple[tuple[int, ...], list | None]] = [(tuple(target), None)]
-    nodes = 0
-    while stack:
-        rem, blocks = stack[-1]
-        if blocks is None:
-            if rem in table:
-                stack.pop()
-                continue
-            j = next(j for j, r in enumerate(rem) if r)
-            candidates = [i for i in by_first[j] if all(map(le, atom_vectors[i], rem))]
-            blocks, tried = _blocks(rem, j, candidates, atom_vectors, supports)
-            nodes += 1 + tried
-            if nodes > budget:
-                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-            stack[-1] = (rem, blocks)
-            pending = [(c, None) for _, c in blocks if c not in table]
-            if pending:
-                stack.extend(pending)
-                continue
-        entries = [tuple(sorted(f + block)) for block, c in blocks for f in table[c]]
-        entries.sort()
-        if limit is not None:
-            del entries[limit:]
-        table[rem] = entries
-        stack.pop()
-    return table[tuple(target)]
+    target = tuple(target)
+    if limit is None:
+        return _all_factorizations(target, atom_vectors, budget)
+    return _first_factorizations(target, atom_vectors, budget, limit)
 
 
 def vector_length_mask(target: Seq[int],
@@ -450,7 +578,7 @@ def vector_length_mask(target: Seq[int],
                 continue
             j = next(j for j, r in enumerate(rem) if r)
             children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
-                        if all(map(le, a, rem))]
+                        if all(x <= r for x, r in zip(a, rem))]
             stack[-1] = (rem, children)
             pending = [(c, None) for c in children if c not in table]
             if pending:

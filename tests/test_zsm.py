@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongatoms import zsm
 from strongatoms.abgroup import FinGenAbelianGroup, abelian_groups_of_order
 from strongatoms.errors import (
     AtomNotInSet,
@@ -455,6 +456,74 @@ def test_vector_factorizations_many_first_class_atoms():
     atoms = [(1, i) for i in range(3000)] + [(0, 2999)]
     assert vector_factorizations((1, 2999), atoms) == [(0, 3000), (2999,)]
     assert vector_factorizations((1, 2999), atoms, limit=1) == [(0, 3000)]
+
+
+def test_vector_factorizations_budget_bounds_block_listing():
+    # one state with about 2.25 million blocks: the budget must stop the
+    # listing of the blocks, not only the states
+    atoms = [(1, i) for i in range(3000)] + [(0, 1)]
+    with pytest.raises(BudgetExceeded, match="factorization table exceeded 10 nodes"):
+        vector_factorizations((2, 2999), atoms, budget=10)
+    assert vector_factorizations((2, 2999), atoms, limit=1) == [(0, 0) + (3000,) * 2999]
+
+
+def test_vector_factorizations_budget_bounds_merged_entries():
+    # e_k and 2 e_k on 30 classes: 31 states and few blocks, but 2^30
+    # factorizations of (2,) * 30; the merged entries count as nodes
+    m = 30
+    atoms = []
+    for k in range(m):
+        for x in (1, 2):
+            atoms.append(tuple(x if s == k else 0 for s in range(m)))
+    with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
+        vector_factorizations((2,) * m, atoms, budget=1000)
+    assert len(vector_factorizations((2,) * 8, atoms[:16])) == 2 ** 8
+
+
+@settings(max_examples=300)
+@given(factorization_systems(), st.randoms(use_true_random=False))
+def test_first_factorizations_with_every_dead_end_recorded(system, rng):
+    # record every remainder found without a factorization, however few
+    # counts its search took, so the record is used on small systems too
+    target, atoms = system
+    shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
+    rng.shuffle(shuffled)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zsm, "_DEAD_LEVEL_NODES", 0)
+        for vectors in (atoms, shuffled):
+            full = next_index_vector_factorizations(target, vectors)
+            for limit in (1, 2, 3, len(full) + 1):
+                assert vector_factorizations(target, vectors, limit=limit) == full[:limit]
+
+
+def test_first_factorizations_after_recorded_dead_ends():
+    # targets whose lexicographic search meets dead ends of more than the
+    # recording threshold, with and without factorizations
+    atoms = [(0, 0, 1, 1, 1), (1, 1, 0, 2, 0), (3, 3, 0, 0, 3), (0, 0, 0, 0, 1),
+             (1, 1, 1, 2, 3), (1, 2, 0, 2, 0), (0, 2, 2, 3, 1), (1, 2, 2, 2, 0),
+             (2, 3, 1, 0, 3)]
+    rng = random.Random(11)
+    targets = [(12, 11, 6, 17, 10), (18, 17, 10, 27, 16)]
+    for _ in range(4):
+        counts = [rng.randrange(3) for _ in atoms]
+        targets.append(tuple(sum(c * a[s] for c, a in zip(counts, atoms)) for s in range(5)))
+    for target in targets:
+        first = next_index_vector_factorizations(target, atoms, limit=50)
+        assert vector_factorizations(target, atoms, limit=50) == first
+
+
+def test_vector_factorizations_limit_stops_early():
+    # the first factorizations of a power with many reachable remainders,
+    # within the nodes the multiplicity search of the reference needs
+    # (9 for limit 1 on (8,) * 6, 10 for limit 2 on (10,) * 6)
+    group = FinGenAbelianGroup.cyclic(7)
+    cs = ClassSet(group, tuple(group.element((k,)) for k in range(1, 7)))
+    vectors = [a.exponents for a in enumerate_atoms(cs)]
+    first = vector_factorizations((8,) * 6, vectors, budget=9, limit=1)
+    assert first == next_index_vector_factorizations((8,) * 6, vectors, limit=1)
+    assert len(vector_factorizations((10,) * 6, vectors, budget=10, limit=2)) == 2
+    with pytest.raises(BudgetExceeded, match="factorization search exceeded 8 nodes"):
+        vector_factorizations((8,) * 6, vectors, budget=8, limit=1)
 
 
 def test_vector_factorizations_deep_target():
