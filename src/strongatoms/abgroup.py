@@ -573,9 +573,11 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
     raises BudgetExceeded beyond it.  The tree's nodes are among those of the
     search without freezing, so it never inserts more.  Each inserted node
     later tries at most m children, each try costing at most one bucket scan
-    and, when the child is inserted, one row of m additions.  With ``limit``
-    set, returns the first ``limit`` minimal solutions in search order.
+    and, when the child is inserted, one row of m additions.  A ``limit`` of
+    at least 1 returns the first ``limit`` minimal solutions in search order.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     m = len(columns)
     gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
             for ci in columns]

@@ -94,7 +94,7 @@ def check_signed_basis_lengths(n: int) -> Check:
     v[2 * n] = 1                      # f
     uv = cs.sequence(u) * cs.sequence(v)
     lengths = zsm.length_set(uv, atoms)
-    elas = zsm.elasticity(uv, atoms)
+    elas = zsm.length_set_elasticity(lengths)
     ok = lengths == {2, n + 1} and elas == Fraction(n + 1, 2)
     return Check(f"signed-basis-n{n}-length-set", ok,
                  f"L(UV) = {sorted(lengths)}, elasticity {elas}")

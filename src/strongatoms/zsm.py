@@ -6,18 +6,18 @@ completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
 mixed free/torsion groups without an a-priori degree bound.
 
 Factorizations and length sets both come from tables keyed by the remaining
-exponent vector and filled from an explicit stack.  With j the remainder's
-first nonzero class, every atom that fits the remainder is zero before j.
-The factorization table splits each factorization uniquely into its *block*,
-the atoms nonzero in class j (their class-j entries sum to exactly the
-remainder's), and a factorization of what the block leaves, which is zero
-through j; each multiset of atoms is therefore produced exactly once.  A
-call that asks only for the first few factorizations does not fill that
-table: a lexicographic search over atom multiplicities stops once it has
-them, and records the remainders it found no factorization of.  Length sets
-and elasticity list no factorization: their table holds length bitmasks and
-steps one atom of class j at a time, so it reaches a multiset of atoms once
-for each of its atoms in class j and gives lengths, not factorization counts.
+exponent vector, each filled in one post-order pass on an explicit stack.
+With j the remainder's first nonzero class, every atom that fits the
+remainder is zero before j.  The factorization table splits each
+factorization uniquely into its *block*, the atoms nonzero in class j (their
+class-j entries sum to exactly the remainder's), and a factorization of what
+the block leaves, which is zero through j; each multiset of atoms is
+therefore produced exactly once.  A call that asks only for the first few
+factorizations does not fill that table: a lexicographic search over atom
+multiplicities stops once it has them.  Length sets and elasticity list no
+factorization: their table holds length bitmasks and steps one atom of
+class j at a time, so it reaches a multiset of atoms once for each of its
+atoms in class j and gives lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -384,59 +384,42 @@ def _all_factorizations(target: tuple[int, ...],
     """Every factorization of ``target``, from the block table described in
     :func:`vector_factorizations`.
 
-    A first pass lists the blocks of every reachable remainder from an
-    explicit stack, counting how many blocks leave each remainder, and
-    records the remainders children first.  A second pass fills the table in
-    that order and frees a remainder's list once the last block that leaves
-    it has been merged, so memory holds the blocks, the output and the lists
-    still awaited.  Nodes are table states, counts tried while listing
-    blocks, and merged entries; each is counted before it is made.
+    One post-order pass on an explicit stack: a state lists its blocks,
+    pushes the unfilled remainders they leave, and merges its list once all
+    of them are filled; every list is kept until the call returns.  Nodes
+    are table states, counts tried while listing blocks, and merged entries,
+    each checked against the budget as it is counted, before entries are made.
     """
     by_first = _fitting_by_first_class(target, atom_vectors)
     supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
                 for fitting in by_first for i in fitting}
-    zero = (0,) * len(target)
-    blocks: dict[tuple[int, ...], list] = {zero: []}
-    uses: dict[tuple[int, ...], int] = {}   # remainder -> blocks that leave it
-    order: list[tuple[int, ...]] = []     # remainders, each after those it leaves
-    stack = [(target, False)]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * len(target): [()]}
+    stack: list[tuple[tuple[int, ...], list | None]] = [(target, None)]
     nodes = 0
     while stack:
-        rem, listed = stack.pop()
-        if listed:
-            order.append(rem)
-            continue
-        if rem in blocks:
-            continue
-        j = next(j for j, r in enumerate(rem) if r)
-        nodes += 1
-        blocks[rem], nodes = _blocks(rem, j, by_first[j], atom_vectors, supports,
-                                     nodes, budget)
-        stack.append((rem, True))
-        for _, c in blocks[rem]:
-            uses[c] = uses.get(c, 0) + 1
-            if c not in blocks:
-                stack.append((c, False))
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {zero: [()]}
-    for rem in order:
-        entries = []
-        for block, c in blocks.pop(rem):
-            below = table[c]
-            nodes += len(below)
+        rem, blocks = stack[-1]
+        if blocks is None:
+            if rem in table:
+                stack.pop()
+                continue
+            nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-            entries.extend([tuple(sorted(f + block)) for f in below])
-            uses[c] -= 1
-            if not uses[c]:
-                del table[c]
-        entries.sort()
-        table[rem] = entries
+            j = next(j for j, r in enumerate(rem) if r)
+            blocks, nodes = _blocks(rem, j, by_first[j], atom_vectors, supports,
+                                    nodes, budget)
+            stack[-1] = (rem, blocks)
+            pending = [(c, None) for _, c in blocks if c not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+        nodes += sum(len(table[c]) for _, c in blocks)
+        if nodes > budget:
+            raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+        table[rem] = sorted(tuple(sorted(f + block))
+                            for block, c in blocks for f in table[c])
+        stack.pop()
     return table[target]
-
-
-# a level that ends without a factorization after fewer counts than this is
-# searched again rather than remembered, which bounds the memory of the record
-_DEAD_LEVEL_NODES = 16
 
 
 def _first_factorizations(target: tuple[int, ...],
@@ -452,12 +435,9 @@ def _first_factorizations(target: tuple[int, ...],
     first nonzero class, so a level takes no atom past the last such atom
     that fits, and that atom only with the copies that close the class; nor
     does it go on once the atoms after the current one miss a class of its
-    remainder.  A level that ends without a factorization, after at least
-    ``_DEAD_LEVEL_NODES`` counts, records its remainder as dead from its
-    first atom on; a level reached again with that remainder at the same or
-    a later atom ends at once.  Nodes are the counts tried: set, or stepped
-    down by one.  The counts are those of a plain multiplicity search, in
-    its order, less some that lead to no factorization.
+    remainder.  Nodes are the counts tried: set, or stepped down by one.
+    The counts are those of a plain multiplicity search, in its order, less
+    some that lead to no factorization.
     """
     by_first = _fitting_by_first_class(target, atom_vectors)
     order = sorted(i for fitting in by_first for i in fitting)
@@ -469,29 +449,26 @@ def _first_factorizations(target: tuple[int, ...],
     cover = [0] * (len(order) + 1)    # the classes of the atoms from a position on
     for p in range(len(order) - 1, -1, -1):
         cover[p] = cover[p + 1] | masks[p]
-    # remainder -> a position from which on it has no factorization
-    dead: dict[tuple[int, ...], int] = {}
     out: list[tuple[int, ...]] = []
-    # [rem, need, start, end, j, found and nodes before it, position, copies]
-    levels: list[list] = []
+    levels: list[list] = []           # [rem, need, end, j, position, copies]
     rem, need, start = target, support_mask(target), 0
     nodes = 0
     while True:
         if not need:
-            out.append(tuple(order[lv[7]] for lv in levels for _ in range(lv[8])))
+            out.append(tuple(order[lv[4]] for lv in levels for _ in range(lv[5])))
             if len(out) >= limit:
                 return out
-        elif start < dead.get(rem, len(order)):
+        else:
             j = (need & -need).bit_length() - 1
             end = 0
             for p in reversed(first_class[j]):
                 if all(map(le, vectors[p], rem)):
                     end = p + 1
                     break
-            levels.append([rem, need, start, end, j, len(out), nodes, start, 0])
+            levels.append([rem, need, end, j, start, 0])
         while levels:
             level = levels[-1]
-            above, need, first, end, j, found, entered, p, c = level
+            above, need, end, j, p, c = level
             # one copy fewer leaves every class of the remainder open
             if c > 1 and p < end - 1 and not need & ~cover[p + 1]:
                 c -= 1
@@ -512,7 +489,7 @@ def _first_factorizations(target: tuple[int, ...],
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded(f"factorization search exceeded {budget} nodes")
-                level[7], level[8] = p, c
+                level[4], level[5] = p, c
                 v = vectors[p] if c == 1 else [c * x for x in vectors[p]]
                 rem = tuple(map(sub, above, v))
                 for s in supports[p]:
@@ -521,8 +498,6 @@ def _first_factorizations(target: tuple[int, ...],
                 start = p + 1
                 break
             levels.pop()
-            if len(out) == found and nodes - entered >= _DEAD_LEVEL_NODES:
-                dead[above] = first
         else:
             return out
 
@@ -542,15 +517,18 @@ def vector_factorizations(target: Seq[int],
     factorization of rem minus the block's sum, which is zero through j.
     F(rem) is the sorted merge of each block into each entry of
     F(rem - block).  ``budget`` counts the table's states, the counts tried
-    while listing blocks and the merged entries.
+    while listing blocks and the merged entries, so it also bounds the
+    lists, which are kept until the call returns.
 
-    With ``limit``, a lexicographic search over atom multiplicities that
-    stops at the ``limit``-th factorization and records the remainders it
-    found no factorization of; ``budget`` counts the multiplicities tried.
+    With ``limit``, at least 1, a lexicographic search over atom
+    multiplicities that stops at the ``limit``-th factorization; ``budget``
+    counts the multiplicities tried.
     """
     target = tuple(target)
     if limit is None:
         return _all_factorizations(target, atom_vectors, budget)
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     return _first_factorizations(target, atom_vectors, budget, limit)
 
 

@@ -390,6 +390,14 @@ def test_minimal_nonneg_kernel_simple_systems():
     assert minimal_nonneg_kernel([(1, 0), (0, 1)]) == []
 
 
+def test_minimal_nonneg_kernel_limit_must_be_at_least_one():
+    cols = [(1,), (-1,), (2,), (-2,)]
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            minimal_nonneg_kernel(cols, limit=limit)
+    assert len(minimal_nonneg_kernel(cols, limit=1)) == 1
+
+
 def test_minimal_nonneg_kernel_minimality_and_completeness():
     cols = [(2,), (3,), (-4,)]
     sols = minimal_nonneg_kernel(cols)

@@ -179,14 +179,21 @@ def test_oracle_equivalence_small_orders():
 
 @pytest.mark.slow
 def test_oracle_equivalence_orders_7_8():
+    # The atoms of B(S), S a subset of G, are the atoms of B(G) supported in
+    # S: a zero-sum subsequence of a sequence over S is itself over S, and
+    # the length bound is |G| for both.  So the oracle runs once per group.
     for n in (7, 8):
         for group in abelian_groups_of_order(n):
             elems = list(group.elements())
+            oracle = brute_force_atoms(ClassSet(group, tuple(elems)))
             for r in range(1, len(elems) + 1):
-                for combo in combinations(elems, r):
-                    cs = ClassSet(group, combo)
+                for combo in combinations(range(len(elems)), r):
+                    cs = ClassSet(group, tuple(elems[i] for i in combo))
                     got = [a.exponents for a in enumerate_atoms(cs)]
-                    assert got == brute_force_atoms(cs), (group, combo)
+                    outside = set(range(len(elems))) - set(combo)
+                    want = sorted(tuple(a[i] for i in combo) for a in oracle
+                                  if not any(a[i] for i in outside))
+                    assert got == want, (group, combo)
 
 
 def test_enumeration_sound_on_mixed_groups():
@@ -426,7 +433,7 @@ def test_vector_factorizations_matches_next_index_search(system, rng):
     for vectors in (atoms, shuffled):
         full = vector_factorizations(target, vectors)
         assert full == next_index_vector_factorizations(target, vectors)
-        for limit in (1, 2, 3):
+        for limit in (1, 2, 3, len(full) + 1):
             assert vector_factorizations(target, vectors, limit=limit) == full[:limit]
             assert (next_index_vector_factorizations(target, vectors, limit)
                     == full[:limit])
@@ -480,25 +487,103 @@ def test_vector_factorizations_budget_bounds_merged_entries():
     assert len(vector_factorizations((2,) * 8, atoms[:16])) == 2 ** 8
 
 
-@settings(max_examples=300)
+def two_pass_all_factorizations(target, atom_vectors, budget):
+    """Reference: the former block table, filled in two passes (list every
+    state's blocks, then merge children first and free each list after its
+    last use)."""
+    by_first = zsm._fitting_by_first_class(target, atom_vectors)
+    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
+                for fitting in by_first for i in fitting}
+    zero = (0,) * len(target)
+    blocks = {zero: []}
+    uses = {}
+    order = []
+    stack = [(target, False)]
+    nodes = 0
+    while stack:
+        rem, listed = stack.pop()
+        if listed:
+            order.append(rem)
+            continue
+        if rem in blocks:
+            continue
+        j = next(j for j, r in enumerate(rem) if r)
+        nodes += 1
+        blocks[rem], nodes = zsm._blocks(rem, j, by_first[j], atom_vectors, supports,
+                                         nodes, budget)
+        stack.append((rem, True))
+        for _, c in blocks[rem]:
+            uses[c] = uses.get(c, 0) + 1
+            if c not in blocks:
+                stack.append((c, False))
+    table = {zero: [()]}
+    for rem in order:
+        entries = []
+        for block, c in blocks.pop(rem):
+            below = table[c]
+            nodes += len(below)
+            if nodes > budget:
+                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+            entries.extend([tuple(sorted(f + block)) for f in below])
+            uses[c] -= 1
+            if not uses[c]:
+                del table[c]
+        entries.sort()
+        table[rem] = entries
+    return table[target]
+
+
+def least_budget(search):
+    """The least budget of at least 1 at which ``search(budget)`` returns."""
+    hi = 1
+    while True:
+        try:
+            search(hi)
+            break
+        except BudgetExceeded:
+            hi *= 2
+    lo = hi // 2          # raises there, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search(mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=400)
 @given(factorization_systems(), st.randoms(use_true_random=False))
-def test_first_factorizations_with_every_dead_end_recorded(system, rng):
-    # record every remainder found without a factorization, however few
-    # counts its search took, so the record is used on small systems too
+def test_all_factorizations_matches_two_pass_table(system, rng):
     target, atoms = system
     shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
     rng.shuffle(shuffled)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zsm, "_DEAD_LEVEL_NODES", 0)
-        for vectors in (atoms, shuffled):
-            full = next_index_vector_factorizations(target, vectors)
-            for limit in (1, 2, 3, len(full) + 1):
-                assert vector_factorizations(target, vectors, limit=limit) == full[:limit]
+    for vectors in (atoms, shuffled):
+        full = vector_factorizations(target, vectors)
+        budget = least_budget(lambda b: vector_factorizations(target, vectors, budget=b))
+        assert two_pass_all_factorizations(target, vectors, budget) == full
+        # at budget 0 the former table did not raise on a target whose one
+        # state tries no count, since it checked only counts and merged entries
+        if budget > 1:
+            with pytest.raises(BudgetExceeded, match="factorization table exceeded"):
+                two_pass_all_factorizations(target, vectors, budget - 1)
 
 
-def test_first_factorizations_after_recorded_dead_ends():
-    # targets whose lexicographic search meets dead ends of more than the
-    # recording threshold, with and without factorizations
+def test_limit_must_be_at_least_one():
+    cs = ClassSet(C3, (C3.element((1,)),))
+    atoms = enumerate_atoms(cs)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            vector_factorizations((4, 0), [(2, 0), (0, 2)], limit=limit)
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            factorizations(cs.sequence((3,)), atoms, limit=limit)
+    assert vector_factorizations((4, 0), [(2, 0), (0, 2)], limit=1) == [(0, 0)]
+
+
+def test_first_factorizations_on_long_exhaustive_searches():
+    # targets whose lexicographic search is long, each searched to
+    # exhaustion: none has 50 factorizations, and the first two have none
     atoms = [(0, 0, 1, 1, 1), (1, 1, 0, 2, 0), (3, 3, 0, 0, 3), (0, 0, 0, 0, 1),
              (1, 1, 1, 2, 3), (1, 2, 0, 2, 0), (0, 2, 2, 3, 1), (1, 2, 2, 2, 0),
              (2, 3, 1, 0, 3)]
