@@ -4,7 +4,8 @@ Only the additive exponent structure is modeled here.  Multiplicative
 distinctions of an ambient ring (unit groups, coefficient fields) are out of
 scope: the interval monoid with n = 1 is factorial as a monoid regardless of
 what a surrounding ring does.  The generated kind is a small extension kept
-for reuse.  All operations are pure, and no membership table outlives the
+for reuse.  Length sets come from zsm's length table on one-coordinate
+vectors.  All operations are pure, and no membership table outlives the
 call that built it.
 """
 
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoWitness, NotMember
+from .zsm import vector_length_mask
 
 
 @dataclass(frozen=True)
@@ -100,21 +102,12 @@ def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
 
 
 def nm_length_set(m: NumericalMonoid, x: int) -> set[int]:
-    """The factorization lengths of x, from a table over the values 0..x:
-    L(0) = 1 and L(y) = OR of L(y - a) << 1 over the atoms a <= y, as
-    bitmasks (no factorization is listed)."""
+    """The factorization lengths of x, from zsm's length table over the
+    values 0..x (no factorization is listed).  Raises BudgetExceeded when
+    the table passes its default state budget, 10**7 values."""
     if x <= 0 or not m.contains(x):
         raise NotMember(f"{x} is not a positive element of the monoid")
-    atoms = nm_atoms(m)
-    table = [1]
-    for y in range(1, x + 1):
-        mask = 0
-        for a in atoms:
-            if a > y:
-                break
-            mask |= table[y - a]
-        table.append(mask << 1)
-    mask = table[x]
+    mask = vector_length_mask((x,), [(a,) for a in nm_atoms(m)])
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 

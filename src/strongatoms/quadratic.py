@@ -2,11 +2,13 @@
 
 Under that hypothesis Z[sqrt(d)] is the full ring of integers, the norm
 a^2 - d*b^2 is positive definite, and the units are exactly +-1.  Norm-based
-searches make irreducibility and bounded absolute-irreducibility decidable;
-primality is only witnessed (explicit non-prime products, or the Euler
-criterion for inert rational primes).  The bounded half-factoriality scan
-fills one table of length sets in increasing norm, built bottom-up from the
-irreducibles of smaller norm.  No cache outlives a call.
+searches make irreducibility and bounded absolute-irreducibility decidable:
+one sieve over the divisors of an element, in increasing norm, lists its
+irreducible divisors and so also decides irreducibility.  Primality is only
+witnessed (explicit non-prime products, or the Euler criterion for inert
+rational primes).  The bounded half-factoriality scan fills one table of
+length sets in increasing norm, built bottom-up from the irreducibles of
+smaller norm.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -138,17 +140,29 @@ def quad_divides(ring: QuadRing, w: QuadInt, z: QuadInt) -> bool:
     return ring.exact_divide(z, w) is not None
 
 
+def _irreducible_divisors(ring: QuadRing, t: QuadInt) -> list[QuadInt]:
+    """The canonical irreducible divisors of t, in (norm, a, b) order.
+
+    A sieve over the divisors of t in increasing norm: a divisor of norm > 1
+    is irreducible exactly when no irreducible divisor of t of strictly
+    smaller norm divides it (a proper factor has one; one splits it).
+    """
+    out: list[QuadInt] = []
+    for m in _divisors(ring.norm(t))[1:]:
+        smaller = tuple(out)
+        for w in elements_of_norm(ring, m):
+            if (w == canonical_associate(w) and quad_divides(ring, w, t)
+                    and not any(quad_divides(ring, c, w) for c in smaller)):
+                out.append(w)
+    return out
+
+
 def quad_is_irreducible(ring: QuadRing, z: QuadInt) -> bool:
-    """No divisor of norm strictly between 1 and N(z)."""
+    """Every irreducible divisor of z has norm N(z)."""
     nz = ring.norm(z)
     if nz <= 1:
         raise ZeroOrUnit("irreducibility is about nonzero nonunits")
-    for m in _divisors(nz):
-        if 1 < m < nz:
-            for w in elements_of_norm(ring, m):
-                if quad_divides(ring, w, z):
-                    return False
-    return True
+    return all(ring.norm(w) == nz for w in _irreducible_divisors(ring, z))
 
 
 @dataclass(frozen=True)
@@ -188,22 +202,6 @@ def quad_is_prime_witness(ring: QuadRing, z: QuadInt) -> PrimeWitness:
     return PrimeWitness("unknown", detail="no recipe applies to this element")
 
 
-def _irreducible_divisor_candidates(ring: QuadRing, t: QuadInt) -> list[QuadInt]:
-    nt = ring.norm(t)
-    cands = []
-    for m in _divisors(nt):
-        if m <= 1:
-            continue
-        for w in elements_of_norm(ring, m):
-            w = canonical_associate(w)
-            if w in cands:
-                continue
-            if quad_is_irreducible(ring, w) and quad_divides(ring, w, t):
-                cands.append(w)
-    cands.sort(key=lambda z: (ring.norm(z), z.a, z.b))
-    return cands
-
-
 def quad_factorizations(ring: QuadRing, t: QuadInt,
                         *, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, tuple[QuadInt, ...]]]:
     """All factorizations of t into irreducibles modulo units.
@@ -213,7 +211,7 @@ def quad_factorizations(ring: QuadRing, t: QuadInt,
     """
     if ring.norm(t) == 0:
         raise ZeroDivisor("cannot factor zero")
-    cands = _irreducible_divisor_candidates(ring, t)
+    cands = _irreducible_divisors(ring, t)
     out: list[tuple[int, tuple[QuadInt, ...]]] = []
     acc: list[QuadInt] = []
     nodes = 0

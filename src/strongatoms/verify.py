@@ -49,9 +49,8 @@ def signed_basis_spec(n: int, with_zero: bool = False) -> KrullSpec:
     return KrullSpec(cs, (1,) * len(cs))
 
 
-def _expected_signed_basis_atoms(cs: ClassSet, n: int, with_zero: bool) -> set[tuple[int, ...]]:
+def _expected_signed_basis_atoms(cs: ClassSet, n: int) -> set[tuple[int, ...]]:
     m = len(cs)
-    off = 1 if with_zero else 0
 
     def vec(pairs):
         v = [0] * m
@@ -60,13 +59,11 @@ def _expected_signed_basis_atoms(cs: ClassSet, n: int, with_zero: bool) -> set[t
         return tuple(v)
 
     expected = set()
-    if with_zero:
-        expected.add(vec([(0, 1)]))
     for i in range(n):
-        expected.add(vec([(off + i, 1), (off + n + i, 1)]))          # e_i * (-e_i)
-    expected.add(vec([(off + 2 * n, 1), (off + 2 * n + 1, 1)]))      # f * (-f)
-    expected.add(vec([(off + i, 1) for i in range(n)] + [(off + 2 * n + 1, 1)]))
-    expected.add(vec([(off + n + i, 1) for i in range(n)] + [(off + 2 * n, 1)]))
+        expected.add(vec([(i, 1), (n + i, 1)]))          # e_i * (-e_i)
+    expected.add(vec([(2 * n, 1), (2 * n + 1, 1)]))      # f * (-f)
+    expected.add(vec([(i, 1) for i in range(n)] + [(2 * n + 1, 1)]))
+    expected.add(vec([(n + i, 1) for i in range(n)] + [(2 * n, 1)]))
     return expected
 
 
@@ -74,7 +71,7 @@ def check_signed_basis_atoms(n: int) -> Check:
     cs, _ = signed_basis_class_set(n)
     atoms = zsm.enumerate_atoms(cs)
     got = {a.exponents for a in atoms}
-    want = _expected_signed_basis_atoms(cs, n, with_zero=False)
+    want = _expected_signed_basis_atoms(cs, n)
     absirred = all(krull.is_absirred_support(a, atoms) for a in atoms)
     ok = got == want and len(atoms) == n + 3 and absirred
     return Check(f"signed-basis-n{n}-atoms", ok,

@@ -109,13 +109,11 @@ def group_combination(family, alphas):
 
 
 def brute_kernel_vectors(family, bound):
-    """All alpha in [-bound, bound]^m with sum alpha_i g_i = 0 (including 0)."""
-    m = len(family)
-    out = []
-    for alphas in product(range(-bound, bound + 1), repeat=m):
+    """Yield every alpha in [-bound, bound]^m with sum alpha_i g_i = 0
+    (including 0), lazily, so that a caller may stop at the first it needs."""
+    for alphas in product(range(-bound, bound + 1), repeat=len(family)):
         if group_combination(family, alphas).is_zero():
-            out.append(alphas)
-    return out
+            yield alphas
 
 
 def brute_nonneg_kernel_exists(family, bound):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -455,3 +456,84 @@ def test_machine_reports_equal_stdlib_encoding(path, capsys):
 
 def test_verify_report_equals_stdlib_encoding(capsys):
     assert_stdlib_encoded(run_cli(capsys, "verify", "--machine")[1])
+
+
+def human_lines(out):
+    """The printed lines of a human-mode run, less the final timing line."""
+    *lines, elapsed = out.splitlines()
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s", elapsed)
+    return lines
+
+
+def test_factor_human_output(signed_basis, capsys):
+    code, out = run_cli(capsys, "factor", "--spec", signed_basis,
+                        "--sequence", "e1,e2,-f,-e1,-e2,f")
+    assert code == 0
+    assert human_lines(out) == [
+        "command: factor",
+        "2 factorizations of e1 e2 -e1 -e2 f -f",
+        "  (f -f) * (e2 -e2) * (e1 -e1)",
+        "  (-e1 -e2 f) * (e1 e2 -f)",
+        "lengths: [2, 3]  elasticity: 3/2",
+    ]
+
+
+def test_lengths_human_output(signed_basis, capsys):
+    code, out = run_cli(capsys, "lengths", "--spec", signed_basis,
+                        "--sequence", "e1,e2,-f,-e1,-e2,f")
+    assert code == 0
+    assert human_lines(out) == ["command: lengths", "lengths: [2, 3]  elasticity: 3/2"]
+
+
+def test_absirred_human_output(cyclic3, capsys):
+    code, out = run_cli(capsys, "absirred", "--spec", cyclic3)
+    assert code == 0
+    assert human_lines(out) == [
+        "command: absirred",
+        "  2g^3                           absolutely irreducible: True",
+        "  g 2g                           absolutely irreducible: False",
+        "      witness: n=3 indices [0, 2]",
+        "  g^3                            absolutely irreducible: True",
+    ]
+
+
+def test_verify_human_output(capsys):
+    code, out = run_cli(capsys, "verify")
+    assert code == 0
+    assert human_lines(out) == [
+        "command: verify",
+        "  PASS signed-basis-n2-atoms: 5 atoms, all absolutely irreducible: True",
+        "  PASS signed-basis-n2-length-set: L(UV) = [2, 3], elasticity 3/2",
+        "  PASS signed-basis-n3-atoms: 6 atoms, all absolutely irreducible: True",
+        "  PASS signed-basis-n3-length-set: L(UV) = [2, 4], elasticity 2",
+        "  PASS signed-basis-n4-atoms: 7 atoms, all absolutely irreducible: True",
+        "  PASS signed-basis-n4-length-set: L(UV) = [2, 5], elasticity 5/2",
+        "  PASS scenario-row-no-prime-spec: row (-,+,-)",
+        "  PASS scenario-row-with-prime-spec: row (-,+,+)",
+        "  PASS all-absirred-iff-order-le-2: verified through order 10",
+        "  PASS two-divisor-class-forces-nonabsirred: row (+,+,+), witness a=(2, 0) b=(1, 1)",
+        "  PASS factorial-spec-row: row (-,-,+)",
+        "  PASS infinite-order-three-class-set: atoms [(0, 3, 2), (1, 1, 1), (3, 0, 1)], "
+        "L(SS') = [2, 3]",
+        "  PASS interval-monoid-witnesses-2-6: all atoms have verified witnesses",
+        "  PASS interval-monoid-1-factorial: unique factorization up to 30",
+        "  PASS intz-nonabsirred-cubic-over-2: f^2 splits into two integer-valued cofactors, "
+        "neither associated to f",
+        "  PASS intz-constant-2-nonprime: 2 | x(x-1), 2 divides neither factor",
+        "  PASS intz-no-prime-witness-x-2: all four clauses hold",
+        "  PASS intz-no-prime-witness-x2p1-5: all four clauses hold",
+        "  PASS vp-of-p-squared-factorial: v_p(p^2!) = p+1 for p in {2,3,5}",
+        "  PASS rp-2-absirred-candidate-nonprime: f in R(p), f divides the residue product, "
+        "no linear factor",
+        "  PASS rp-2-nonabsirred-square-splits: f^2 = c1*c2 inside R(p), "
+        "essentially different from f*f",
+        "  PASS rp-3-absirred-candidate-nonprime: f in R(p), f divides the residue product, "
+        "no linear factor",
+        "  PASS rp-3-nonabsirred-square-splits: f^2 = c1*c2 inside R(p), "
+        "essentially different from f*f",
+        "  PASS quadratic-d-minus-14: no norm-2 elements, 2 absolutely irreducible to n=3, "
+        "sqrt(d) witness at n=2, 11 inert",
+        "  PASS quadratic-d-minus-5-half-factorial: equal length sets for all norms <= 200",
+        "  PASS quadratic-scenario-consistency: row (+,+,+)",
+        "26 passed, 0 failed",
+    ]

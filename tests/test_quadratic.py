@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from strongatoms import quadratic
 from strongatoms.errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from strongatoms.quadratic import (
     QuadInt,
     QuadRing,
+    _divisors,
+    _irreducible_divisors,
     canonical_associate,
     elements_of_norm,
     half_factorial_check,
@@ -238,3 +241,75 @@ def test_half_factorial_matches_carlitz(d):
     assert ok == (class_number(4 * d) <= 2)
     if not ok:
         assert len({len(atoms) for _, atoms in quad_factorizations(ring, z)}) == 2
+
+
+def test_factorizations_budget_counts_divisions():
+    # 18 = 2*3*3 = (2 + sqrt(-14))(2 - sqrt(-14)); the search makes 20 divisions
+    t = R14.element(18)
+    assert len(quad_factorizations(R14, t, budget=20)) == 2
+    with pytest.raises(BudgetExceeded, match="exceeded 19 divisions"):
+        quad_factorizations(R14, t, budget=19)
+    with pytest.raises(BudgetExceeded):
+        quad_factorizations(R14, t, budget=1)
+
+
+def reference_is_irreducible(ring, z):
+    """The former irreducibility test: no divisor of norm strictly between
+    1 and N(z)."""
+    nz = ring.norm(z)
+    if nz <= 1:
+        raise ZeroOrUnit("irreducibility is about nonzero nonunits")
+    for m in _divisors(nz):
+        if 1 < m < nz:
+            for w in elements_of_norm(ring, m):
+                if quad_divides(ring, w, z):
+                    return False
+    return True
+
+
+def reference_irreducible_divisors(ring, t):
+    """The former candidate list: every canonical divisor of t that passes
+    the irreducibility test, sorted by (norm, a, b)."""
+    nt = ring.norm(t)
+    cands = []
+    for m in _divisors(nt):
+        if m <= 1:
+            continue
+        for w in elements_of_norm(ring, m):
+            w = canonical_associate(w)
+            if w in cands:
+                continue
+            if reference_is_irreducible(ring, w) and quad_divides(ring, w, t):
+                cands.append(w)
+    cands.sort(key=lambda z: (ring.norm(z), z.a, z.b))
+    return cands
+
+
+# the rings of the benchmark's quadratic queries: d = -1..-70, squarefree, d = 2, 3 mod 4
+POOL_D = [d for d in SQUAREFREE_D if d >= -70]
+
+
+@pytest.mark.parametrize("d", POOL_D)
+def test_irreducible_divisor_sieve_matches_former_list(d):
+    ring = QuadRing(d)
+    for m in range(2, 301):
+        for z in elements_of_norm(ring, m):
+            assert _irreducible_divisors(ring, z) == reference_irreducible_divisors(ring, z)
+            assert quad_is_irreducible(ring, z) == reference_is_irreducible(ring, z)
+
+
+@pytest.mark.parametrize("d", POOL_D)
+def test_brute_absirred_matches_former_list(d, monkeypatch):
+    ring = QuadRing(d)
+    # the benchmark's input: the first irreducible among a few small elements
+    z = next(z for z in (QuadInt(3, 0), QuadInt(2, 1), QuadInt(1, 1), QuadInt(5, 0),
+                         QuadInt(3, 1), QuadInt(7, 0), QuadInt(3, 2))
+             if reference_is_irreducible(ring, z))
+    got = quad_brute_absirred(ring, z, 3)
+    with monkeypatch.context() as patched:
+        patched.setattr(quadratic, "_irreducible_divisors", reference_irreducible_divisors)
+        patched.setattr(quadratic, "quad_is_irreducible", reference_is_irreducible)
+        assert quad_brute_absirred(ring, z, 3) == got
+    if d == -1:
+        # 3 and 3i are both canonical, so 3 = -i * 3i reads as a second factorization
+        assert (got.absolutely_irreducible, got.n) == (False, 1)
