@@ -6,18 +6,18 @@ completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
 mixed free/torsion groups without an a-priori degree bound.
 
 Factorizations and length sets both come from tables keyed by the remaining
-exponent vector, each filled in one post-order pass on an explicit stack.
-With j the remainder's first nonzero class, every atom that fits the
-remainder is zero before j.  The factorization table splits each
-factorization uniquely into its *block*, the atoms nonzero in class j (their
-class-j entries sum to exactly the remainder's), and a factorization of what
-the block leaves, which is zero through j; each multiset of atoms is
-therefore produced exactly once.  A call that asks only for the first few
+exponent vector packed into one int (one field per class, see
+:func:`_packed`), each filled in one post-order pass on an explicit stack.
+The factorization table splits each factorization uniquely into its
+*block*, the atoms nonzero in the remainder's first nonzero class, and a
+factorization of what the block leaves (see :func:`vector_factorizations`);
+each multiset of atoms is therefore produced exactly once, and only the
+target's list is sorted.  A call that asks only for the first few
 factorizations does not fill that table: a lexicographic search over atom
 multiplicities stops once it has them.  Length sets and elasticity list no
-factorization: their table holds length bitmasks and steps one atom of
-class j at a time, so it reaches a multiset of atoms once for each of its
-atoms in class j and gives lengths, not factorization counts.
+factorization: their table holds length bitmasks and steps one atom of the
+first nonzero class at a time, so it reaches a multiset of atoms once for
+each of its atoms in that class and gives lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -311,47 +311,60 @@ def _fitting_by_first_class(target: Seq[int],
     return by_first
 
 
-def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
-            atom_vectors: Seq[tuple[int, ...]],
-            supports: Mapping[int, tuple[int, ...]],
-            nodes: int, budget: int) -> tuple[list, int]:
-    """The blocks of ``rem``: each multiset of the candidate atoms (the atoms
-    whose first nonzero class is rem's first nonzero class j) whose class-j
-    entries sum to exactly rem[j] and whose sum fits rem, as pairs (sorted
-    atom indices, rem minus the block's sum), with ``nodes`` plus the number
-    of counts tried.
+def _packed(target: Seq[int], atom_vectors: Seq[tuple[int, ...]]) -> tuple:
+    """``target`` and the atoms that fit it packed into ints, class s in bits
+    s*w .. s*w + w - 1 (w - 1 bits hold target's largest entry; G masks the
+    top, guard, bits): A fits R iff ``((R | G) - A) & G == G``, and then
+    R - A is ``((R | G) - A) ^ G``.  Returns w, G, the packed target and the
+    fitting atoms by first class, as indices and packed."""
+    w = max(target, default=0).bit_length() + 1
 
-    Candidates are taken in order, each with as many copies as fit and then
-    one fewer at a time, on a stack of (position, copies) pairs; the last
-    candidate is taken only with the copies that close class j exactly.
-    Raises BudgetExceeded as soon as the node count passes ``budget``.
-    """
+    def pack(v: Seq[int]) -> int:
+        return sum(x << s * w for s, x in enumerate(v))
+    by_first = _fitting_by_first_class(target, atom_vectors)
+    return (w, pack([1 << (w - 1)] * len(target)), pack(target), by_first,
+            [[pack(atom_vectors[i]) for i in fitting] for fitting in by_first])
+
+
+def _blocks(rem: int, through: int, candidates: list[int], packed: list[int],
+            guard: int, nodes: int, budget: int) -> tuple[list, int]:
+    """The blocks of the packed remainder ``rem`` from the candidates (the
+    atoms whose first nonzero class is rem's, class j; ``through`` masks the
+    fields 0..j), as pairs (atom indices, rem minus the block), with
+    ``nodes`` plus the counts tried.  Candidates are taken in order, each
+    with as many copies as fit and then one fewer at a time, on a stack of
+    (position, copies) pairs; the last candidate is taken only with the
+    copies that leave field j 0.  Copies are taken by guarded subtraction,
+    k at a time while they fit, k = 1, 1, 2, 4, ... (as many as taken so
+    far), then k/2, ..., 1.  Raises BudgetExceeded once nodes pass ``budget``."""
     out = []
-    res = list(rem)
     last = len(candidates) - 1
     stack: list[tuple[int, int]] = []     # (position, copies), positions increasing
     pos = 0                               # the next candidate taken is at least this
     while True:
-        if not res[j]:
-            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)),
-                        tuple(res)))
+        if not rem & through:
+            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)), rem))
         else:
             c = 0
             while pos <= last:
-                i = candidates[pos]
-                v = atom_vectors[i]
-                c = min(res[s] // v[s] for s in supports[i])
-                if pos == last and c * v[j] != res[j]:
-                    c = 0
-                if c:
+                r, m, k = rem | guard, packed[pos], 1
+                while (d := r - m) & guard == guard:
+                    r, c = d, c + k
+                    if c > k:
+                        m, k = m << 1, k << 1
+                while k > 1:
+                    m, k = m >> 1, k >> 1
+                    if (d := r - m) & guard == guard:
+                        r, c = d, c + k
+                if c and (pos < last or not (r ^ guard) & through):
                     break
+                c = 0
                 pos += 1
             if c:
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-                for s in supports[i]:
-                    res[s] -= c * v[s]
+                rem = r ^ guard
                 stack.append((pos, c))
                 pos += 1
                 continue
@@ -359,14 +372,10 @@ def _blocks(rem: tuple[int, ...], j: int, candidates: list[int],
         # forced, so it is dropped instead
         while stack:
             p, c = stack.pop()
-            i = candidates[p]
-            v = atom_vectors[i]
             if p == last:
-                for s in supports[i]:
-                    res[s] += c * v[s]
+                rem += c * packed[p]
                 continue
-            for s in supports[i]:
-                res[s] += v[s]
+            rem += packed[p]
             if c > 1:
                 nodes += 1
                 if nodes > budget:
@@ -382,19 +391,14 @@ def _all_factorizations(target: tuple[int, ...],
                         atom_vectors: Seq[tuple[int, ...]],
                         budget: int) -> list[tuple[int, ...]]:
     """Every factorization of ``target``, from the block table described in
-    :func:`vector_factorizations`.
-
-    One post-order pass on an explicit stack: a state lists its blocks,
-    pushes the unfilled remainders they leave, and merges its list once all
-    of them are filled; every list is kept until the call returns.  Nodes
-    are table states, counts tried while listing blocks, and merged entries,
-    each checked against the budget as it is counted, before entries are made.
-    """
-    by_first = _fitting_by_first_class(target, atom_vectors)
-    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
-                for fitting in by_first for i in fitting}
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * len(target): [()]}
-    stack: list[tuple[tuple[int, ...], list | None]] = [(target, None)]
+    :func:`vector_factorizations`, filled in one post-order pass on an
+    explicit stack: a state lists its blocks, pushes the unfilled remainders
+    they leave, and merges its list once all of them are filled.  A node is
+    counted before it is made and checked before any entry is made (a
+    state's own node with its first count or its merge)."""
+    w, guard, top, by_first, packed = _packed(target, atom_vectors)
+    table: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    stack: list[tuple[int, list | None]] = [(top, None)]
     nodes = 0
     while stack:
         rem, blocks = stack[-1]
@@ -402,12 +406,9 @@ def _all_factorizations(target: tuple[int, ...],
             if rem in table:
                 stack.pop()
                 continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-            j = next(j for j, r in enumerate(rem) if r)
-            blocks, nodes = _blocks(rem, j, by_first[j], atom_vectors, supports,
-                                    nodes, budget)
+            j = ((rem & -rem).bit_length() - 1) // w
+            blocks, nodes = _blocks(rem, (1 << (j + 1) * w) - 1, by_first[j], packed[j],
+                                    guard, nodes + 1, budget)
             stack[-1] = (rem, blocks)
             pending = [(c, None) for _, c in blocks if c not in table]
             if pending:
@@ -416,10 +417,10 @@ def _all_factorizations(target: tuple[int, ...],
         nodes += sum(len(table[c]) for _, c in blocks)
         if nodes > budget:
             raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-        table[rem] = sorted(tuple(sorted(f + block))
-                            for block, c in blocks for f in table[c])
+        merged = (f + block for block, c in blocks for f in table[c])
+        table[rem] = sorted(tuple(sorted(f)) for f in merged) if rem == top else list(merged)
         stack.pop()
-    return table[target]
+    return table[top]
 
 
 def _first_factorizations(target: tuple[int, ...],
@@ -510,15 +511,15 @@ def vector_factorizations(target: Seq[int],
     index tuples in lexicographic order; with ``limit``, the first ``limit``
     of them.
 
-    Without ``limit``, a table over remainders: F(0) = [()], and otherwise,
-    with j rem's first nonzero class, every atom that fits rem is zero before
-    j, so a factorization of rem splits uniquely into its block (its atoms
-    that are nonzero in class j, whose class-j entries sum to rem[j]) and a
-    factorization of rem minus the block's sum, which is zero through j.
-    F(rem) is the sorted merge of each block into each entry of
-    F(rem - block).  ``budget`` counts the table's states, the counts tried
-    while listing blocks and the merged entries, so it also bounds the
-    lists, which are kept until the call returns.
+    Without ``limit``, a table keyed by remainders packed into ints: F(0) =
+    [()], and otherwise, with j rem's first nonzero class, every atom that
+    fits rem is zero before j, so a factorization of rem splits uniquely into
+    its block (its atoms that are nonzero in class j, whose class-j entries
+    sum to rem[j]) and a factorization of rem minus the block's sum, which is
+    zero through j.  F(rem) holds each entry of F(rem - block) followed by
+    the block, and only F(target) is sorted, entries and all.  ``budget``
+    counts the table's states, the counts tried while listing blocks and the
+    merged entries, so it also bounds the lists, kept until the call returns.
 
     With ``limit``, at least 1, a lexicographic search over atom
     multiplicities that stops at the ``limit``-th factorization; ``budget``
@@ -538,25 +539,24 @@ def vector_length_mask(target: Seq[int],
     """The lengths of the factorizations of ``target`` as a bitmask: bit k is
     set iff some k nonzero atom vectors sum to ``target``.
 
-    A table over remainders: L(0) = 1, and otherwise L(rem) is the OR of
-    L(rem - a) << 1 over the atoms a <= rem whose first nonzero class is j,
-    rem's first nonzero class.  Every factorization of rem takes one of them,
-    since an atom that fits rem is zero before j.  The table is filled from
-    an explicit stack; ``budget`` counts its states.
+    A table keyed by remainders packed into ints: L(0) = 1, and otherwise
+    L(rem) is the OR of L(rem - a) << 1 over the atoms a <= rem whose first
+    nonzero class is j, rem's first nonzero class.  Every factorization of
+    rem takes one of them, since an atom that fits rem is zero before j.  The
+    table is filled from an explicit stack; ``budget`` counts its states.
     """
-    by_first = [[atom_vectors[i] for i in fitting]
-                for fitting in _fitting_by_first_class(target, atom_vectors)]
-    table = {(0,) * len(target): 1}
-    stack: list[tuple[tuple[int, ...], list | None]] = [(tuple(target), None)]
+    w, guard, top, _, by_first = _packed(target, atom_vectors)
+    table = {0: 1}
+    stack: list[tuple[int, list | None]] = [(top, None)]
     while stack:
         rem, children = stack[-1]
         if children is None:
             if rem in table:
                 stack.pop()
                 continue
-            j = next(j for j, r in enumerate(rem) if r)
-            children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
-                        if all(x <= r for x, r in zip(a, rem))]
+            r = rem | guard
+            children = [d ^ guard for a in by_first[((rem & -rem).bit_length() - 1) // w]
+                        if (d := r - a) & guard == guard]
             stack[-1] = (rem, children)
             pending = [(c, None) for c in children if c not in table]
             if pending:
@@ -569,7 +569,7 @@ def vector_length_mask(target: Seq[int],
         if len(table) > budget:
             raise BudgetExceeded(f"length table exceeded {budget} states")
         stack.pop()
-    return table[tuple(target)]
+    return table[top]
 
 
 def _factorable(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:

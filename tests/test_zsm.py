@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongatoms import zsm
-from strongatoms.abgroup import FinGenAbelianGroup, abelian_groups_of_order
+from strongatoms.abgroup import (
+    DEFAULT_NODE_BUDGET,
+    FinGenAbelianGroup,
+    abelian_groups_of_order,
+)
 from strongatoms.errors import (
     AtomNotInSet,
     BudgetExceeded,
@@ -455,6 +459,7 @@ def test_vector_factorizations_matches_next_index_search_on_cyclic(n, target):
     full = vector_factorizations(target, vectors)
     assert full == next_index_vector_factorizations(target, vectors)
     assert vector_factorizations(target, vectors, limit=2) == full[:2]
+    assert vector_length_mask(target, vectors) == sum(1 << k for k in {len(f) for f in full})
 
 
 def test_vector_factorizations_many_first_class_atoms():
@@ -487,13 +492,134 @@ def test_vector_factorizations_budget_bounds_merged_entries():
     assert len(vector_factorizations((2,) * 8, atoms[:16])) == 2 ** 8
 
 
+def tuple_blocks(rem, j, candidates, atom_vectors, supports, nodes, budget):
+    """Reference: the former block listing on exponent tuples, which reads
+    each candidate's copy count from per-class quotients over its support."""
+    out = []
+    res = list(rem)
+    last = len(candidates) - 1
+    stack = []                            # (position, copies), positions increasing
+    pos = 0                               # the next candidate taken is at least this
+    while True:
+        if not res[j]:
+            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)),
+                        tuple(res)))
+        else:
+            c = 0
+            while pos <= last:
+                i = candidates[pos]
+                v = atom_vectors[i]
+                c = min(res[s] // v[s] for s in supports[i])
+                if pos == last and c * v[j] != res[j]:
+                    c = 0
+                if c:
+                    break
+                pos += 1
+            if c:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+                for s in supports[i]:
+                    res[s] -= c * v[s]
+                stack.append((pos, c))
+                pos += 1
+                continue
+        while stack:
+            p, c = stack.pop()
+            i = candidates[p]
+            v = atom_vectors[i]
+            if p == last:
+                for s in supports[i]:
+                    res[s] += c * v[s]
+                continue
+            for s in supports[i]:
+                res[s] += v[s]
+            if c > 1:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+                stack.append((p, c - 1))
+            pos = p + 1
+            break
+        else:
+            return out, nodes
+
+
+def tuple_supports(by_first, atom_vectors):
+    return {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
+            for fitting in by_first for i in fitting}
+
+
+def tuple_all_factorizations(target, atom_vectors, budget):
+    """Reference: the former one-pass block table keyed by exponent tuples,
+    each state's list sorted, entries and all."""
+    by_first = zsm._fitting_by_first_class(target, atom_vectors)
+    supports = tuple_supports(by_first, atom_vectors)
+    table = {(0,) * len(target): [()]}
+    stack = [(target, None)]
+    nodes = 0
+    while stack:
+        rem, blocks = stack[-1]
+        if blocks is None:
+            if rem in table:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+            j = next(j for j, r in enumerate(rem) if r)
+            blocks, nodes = tuple_blocks(rem, j, by_first[j], atom_vectors, supports,
+                                         nodes, budget)
+            stack[-1] = (rem, blocks)
+            pending = [(c, None) for _, c in blocks if c not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+        nodes += sum(len(table[c]) for _, c in blocks)
+        if nodes > budget:
+            raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+        table[rem] = sorted(tuple(sorted(f + block))
+                            for block, c in blocks for f in table[c])
+        stack.pop()
+    return table[target]
+
+
+def tuple_vector_length_mask(target, atom_vectors, budget):
+    """Reference: the former length table keyed by exponent tuples."""
+    by_first = [[atom_vectors[i] for i in fitting]
+                for fitting in zsm._fitting_by_first_class(target, atom_vectors)]
+    table = {(0,) * len(target): 1}
+    stack = [(tuple(target), None)]
+    while stack:
+        rem, children = stack[-1]
+        if children is None:
+            if rem in table:
+                stack.pop()
+                continue
+            j = next(j for j, r in enumerate(rem) if r)
+            children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
+                        if all(x <= r for x, r in zip(a, rem))]
+            stack[-1] = (rem, children)
+            pending = [(c, None) for c in children if c not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+        mask = 0
+        for c in children:
+            mask |= table[c]
+        table[rem] = mask << 1
+        if len(table) > budget:
+            raise BudgetExceeded(f"length table exceeded {budget} states")
+        stack.pop()
+    return table[tuple(target)]
+
+
 def two_pass_all_factorizations(target, atom_vectors, budget):
     """Reference: the former block table, filled in two passes (list every
     state's blocks, then merge children first and free each list after its
     last use)."""
     by_first = zsm._fitting_by_first_class(target, atom_vectors)
-    supports = {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
-                for fitting in by_first for i in fitting}
+    supports = tuple_supports(by_first, atom_vectors)
     zero = (0,) * len(target)
     blocks = {zero: []}
     uses = {}
@@ -509,8 +635,8 @@ def two_pass_all_factorizations(target, atom_vectors, budget):
             continue
         j = next(j for j, r in enumerate(rem) if r)
         nodes += 1
-        blocks[rem], nodes = zsm._blocks(rem, j, by_first[j], atom_vectors, supports,
-                                         nodes, budget)
+        blocks[rem], nodes = tuple_blocks(rem, j, by_first[j], atom_vectors, supports,
+                                          nodes, budget)
         stack.append((rem, True))
         for _, c in blocks[rem]:
             uses[c] = uses.get(c, 0) + 1
@@ -568,6 +694,96 @@ def test_all_factorizations_matches_two_pass_table(system, rng):
         if budget > 1:
             with pytest.raises(BudgetExceeded, match="factorization table exceeded"):
                 two_pass_all_factorizations(target, vectors, budget - 1)
+
+
+@st.composite
+def wide_factorization_systems(draw):
+    """(target, atom vectors) on 1-4 or 30-34 classes with entries up to
+    2^40: 1-6 atoms with 1-3 nonzero classes and counts 1-3, the target a
+    sum of 0-2 copies of each (one class sometimes one more), then class j
+    scaled by its own factor s_j, so the target's entries are at most
+    2^K - 1.  A class whose target count is 1 may get s_j = 2^K - 1 (a
+    field that fills all but its guard bit), and the first such class
+    always does; classes no atom copy reaches stay 0."""
+    m = draw(st.one_of(st.integers(1, 4), st.integers(30, 34)))
+    atom = st.dictionaries(st.integers(0, m - 1), st.integers(1, 3),
+                           min_size=1, max_size=3)
+    counts = draw(st.lists(atom, min_size=1, max_size=6))
+    target = [0] * m
+    for a in counts:
+        copies = draw(st.integers(0, 2))
+        for s, x in a.items():
+            target[s] += copies * x
+    if draw(st.booleans()):
+        target[draw(st.integers(0, m - 1))] += 1
+    full = 2 ** draw(st.integers(1, 40)) - 1
+    filled = False
+    scale = []
+    for t in target:
+        if t == 1 and (not filled or draw(st.booleans())):
+            scale.append(full)
+            filled = True
+        else:
+            scale.append(draw(st.integers(1, max(1, full // max(t, 1)))))
+    atoms = [tuple(a.get(s, 0) * scale[s] for s in range(m)) for a in counts]
+    return tuple(t * x for t, x in zip(target, scale)), atoms
+
+
+@settings(max_examples=300)
+@given(wide_factorization_systems(), st.randoms(use_true_random=False))
+def test_packed_tables_match_tuple_tables(system, rng):
+    target, atoms = system
+    shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
+    rng.shuffle(shuffled)
+    for vectors in (atoms, shuffled):
+        pairs = [
+            (lambda b: vector_factorizations(target, vectors, budget=b),
+             lambda b: tuple_all_factorizations(target, vectors, b)),
+            (lambda b: vector_length_mask(target, vectors, budget=b),
+             lambda b: tuple_vector_length_mask(target, vectors, b)),
+        ]
+        for packed, reference in pairs:
+            budget = least_budget(packed)
+            assert packed(budget) == reference(budget)
+            if any(target):
+                messages = []
+                for search in (packed, reference):
+                    with pytest.raises(BudgetExceeded) as raised:
+                        search(budget - 1)
+                    messages.append(str(raised.value))
+                assert messages[0] == messages[1]
+
+
+def test_packed_tables_on_zero_and_one_class_targets():
+    for m in (1, 3):
+        zero = (0,) * m
+        atoms = [(1,) * m, (2,) * m]
+        assert vector_factorizations(zero, atoms, budget=0) == [()]
+        assert vector_length_mask(zero, atoms, budget=0) == 1
+    parts = [(4,), (1,), (3,), (2,)]
+    full = vector_factorizations((6,), parts)
+    assert full == tuple_all_factorizations((6,), parts, DEFAULT_NODE_BUDGET)
+    assert len(full) == 9
+    assert vector_length_mask((6,), parts) == 0b1111100
+    wide = 2 ** 40 - 1
+    atoms = [(wide // 3,), (wide,), (wide // 5,)]
+    assert vector_factorizations((wide,), atoms) == [(0, 0, 0), (1,), (2, 2, 2, 2, 2)]
+    assert vector_length_mask((wide,), atoms) == 0b101010
+    assert vector_factorizations((wide - 1,), atoms) == []
+    assert vector_length_mask((wide - 1,), atoms) == 0
+    # every count of copies from 0 to 21, each stepped down to 1
+    for n in range(64):
+        assert (vector_factorizations((n,), [(3,), (1,)])
+                == tuple_all_factorizations((n,), [(3,), (1,)], DEFAULT_NODE_BUDGET))
+
+
+def test_block_listing_finds_large_counts_in_few_subtractions():
+    # 2^39 copies fit, yet none of these may take one subtraction per copy:
+    # the last candidate cannot close its class, so no block is listed
+    assert vector_factorizations((2 ** 40 + 1,), [(2,)]) == []
+    assert vector_factorizations((2 ** 40, 2 ** 40 - 1), [(1, 1)]) == []
+    with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
+        vector_factorizations((2 ** 40 + 1,), [(2,), (4,)], budget=1000)
 
 
 def test_limit_must_be_at_least_one():
