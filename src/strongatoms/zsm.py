@@ -1,9 +1,12 @@
 """Sequences over a finite class set and the monoid of zero-sum sequences.
 
 A sequence is an exponent vector over an ordered list of distinct group
-elements.  Atoms (minimal zero-sum sequences) are enumerated with the
-completion algorithm from :mod:`strongatoms.abgroup`, which terminates on
-mixed free/torsion groups without an a-priori degree bound.
+elements.  Atoms (minimal zero-sum sequences) over classes that all lie in
+a torsion part of order at most :data:`ZERO_SUM_FREE_MAX_ORDER` are
+enumerated by a search over zero-sum-free sequences (see
+:func:`_zero_sum_free_search`); over other class sets, by the completion
+algorithm from :mod:`strongatoms.abgroup`, which terminates on mixed
+free/torsion groups without an a-priori degree bound.
 
 Factorizations and length sets both come from tables keyed by the remaining
 exponent vector packed into one int (one field per class, see
@@ -22,6 +25,7 @@ each of its atoms in that class and gives lengths, not factorization counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -231,32 +235,141 @@ class AtomSet:
         return s.exponents in self._positions
 
 
+def _torsion_only(values: Seq[GroupElement]) -> bool:
+    """True iff every value has free part zero, so that all of them lie in
+    the finite torsion part of the group."""
+    return not any(any(g.free_part) for g in values)
+
+
+def _zero_sum_free_search(group: FinGenAbelianGroup, values: Seq[GroupElement],
+                          budget: int) -> list[tuple[int, ...]]:
+    """The minimal zero-sum vectors over torsion-only ``values``, sorted.
+
+    A nonempty sequence is a minimal zero-sum sequence iff it is T * (-sigma(T))
+    for a zero-sum-free T.  The search walks the tree of zero-sum-free
+    multisets T over value positions, in nondecreasing position order, on an
+    explicit stack.  Elements of the torsion part Z/d_1 + ... + Z/d_k are
+    indexed in mixed radix (coordinate i weighs d_1 * ... * d_(i-1)), and
+    each node carries -sigma(T) as an index and the set of T's nonempty
+    subsums as an int bitmask over the indices.  T * g stays zero-sum-free iff
+    g != 0 and -g is no subsum of T, and then its subsums are those of T,
+    g, and those of T plus g; adding g rotates the bitmask's blocks once per
+    nonzero coordinate of g.  T * v_j is an atom when v_j = -sigma(T), and is
+    recorded only for j at least T's last position, so each atom, the zero
+    class's included, is found exactly once (at T = the atom less one copy of
+    its last position).  ``budget`` counts the nonempty zero-sum-free
+    multisets."""
+    for g in values:
+        if not group.same_presentation(g.group):
+            raise DimensionMismatch("family element from a different group")
+    order = 1
+    weights = []
+    for d in group.torsion:
+        weights.append(order)
+        order *= d
+    full = (1 << order) - 1
+
+    def index(g: GroupElement) -> int:
+        return sum(x * w for x, w in zip(g.torsion_part, weights))
+
+    def nonzero(g: GroupElement) -> list[tuple[int, int, int]]:
+        """(coordinate, order, weight) for each nonzero coordinate of g."""
+        return [(x, d, w) for x, d, w in zip(g.torsion_part, group.torsion, weights) if x]
+
+    def rotation(x: int, d: int, w: int) -> tuple[int, int, int, int]:
+        """Shifts and masks that add x to the coordinate of order d and weight
+        w in every index of a subsum mask: within each block of d*w indices,
+        those whose coordinate is below d - x move up by x*w, the others down
+        by (d - x)*w."""
+        low = ((1 << (d - x) * w) - 1) * (full // ((1 << d * w) - 1))
+        return x * w, low, (d - x) * w, full ^ low
+
+    m = len(values)
+    codes = [index(g) for g in values]
+    negs = [index(-g) for g in values]
+    rotations = [[rotation(x, d, w) for x, d, w in nonzero(g)] for g in values]
+    # adding -g to an index: coordinate c becomes c + d - x if c < x, else c - x
+    steps = [[(w, d, x, (d - x) * w, -x * w) for x, d, w in nonzero(g)] for g in values]
+    at: dict[int, list[int]] = {}
+    for p, c in enumerate(codes):
+        at.setdefault(c, []).append(p)
+
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+    # (first position, candidate positions, -sigma(T), subsum mask, exponents)
+    stack = [(0, [p for p in range(m) if codes[p]], 0, 0, (0,) * m)]
+    while stack:
+        start, candidates, nu, sums, exps = stack.pop()
+        for j in at.get(nu, ()):
+            if j >= start:
+                out.append(exps[:j] + (exps[j] + 1,) + exps[j + 1:])
+        alive = [p for p in candidates if not sums >> negs[p] & 1]
+        for i, p in enumerate(alive):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"zero-sum-free search exceeded {budget} nodes")
+            shifted = sums
+            for up, lo, down, hi in rotations[p]:
+                shifted = ((shifted & lo) << up) | ((shifted & hi) >> down)
+            child = nu
+            for w, d, x, up, down in steps[p]:
+                child += up if child // w % d < x else down
+            stack.append((p, alive[i:], child, sums | shifted | 1 << codes[p],
+                          exps[:p] + (exps[p] + 1,) + exps[p + 1:]))
+    out.sort()
+    return out
+
+
+#: Largest torsion order searched by :func:`_zero_sum_free_search`.  Each of
+#: its nodes costs a few operations on a mask of that many bits, and one
+#: class of large order makes about as many nodes, so on sparse class sets
+#: of larger groups the completion search is faster (one generator of Z/n
+#: breaks even near this order), and the masks, not the node budget, would
+#: bound the memory.
+ZERO_SUM_FREE_MAX_ORDER = 4096
+
+
+def _atom_search(group: FinGenAbelianGroup, values: Seq[GroupElement],
+                 budget: int) -> tuple[dict, list[tuple[int, ...]]]:
+    """The certificate fields naming the search that ran on ``values``, and
+    the sorted minimal zero-sum vectors it found."""
+    order = math.prod(group.torsion)
+    if _torsion_only(values) and order <= ZERO_SUM_FREE_MAX_ORDER:
+        return ({"method": "zero-sum-free-search", "group_order": order},
+                _zero_sum_free_search(group, values, budget))
+    m = len(values)
+    sols = minimal_nonneg_kernel(zero_sum_columns(group, values), budget=budget)
+    return ({"method": "completion-search", "slack_columns": len(group.torsion)},
+            sorted(sol[:m] for sol in sols))
+
+
 def minimal_zero_sum_vectors(group: FinGenAbelianGroup,
                              values: Seq[GroupElement],
                              *, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
-    """Exponent vectors of all minimal zero-sum sequences over ``values``.
+    """Exponent vectors of all minimal zero-sum sequences over ``values``,
+    sorted lexicographically.
 
     ``values`` may contain repeated group elements (used when distinct prime
-    divisors share a class); positions are kept apart.
+    divisors share a class); positions are kept apart.  When every value has
+    free part zero and the torsion part has order at most
+    :data:`ZERO_SUM_FREE_MAX_ORDER`, a search over the zero-sum-free
+    sequences of the torsion part (:func:`_zero_sum_free_search`), whose
+    ``budget`` counts zero-sum-free nodes; otherwise the completion search
+    :func:`~strongatoms.abgroup.minimal_nonneg_kernel` on the columns with one
+    slack column per torsion factor, whose ``budget`` counts its insertions.
     """
-    m = len(values)
-    cols = zero_sum_columns(group, values)
-    sols = minimal_nonneg_kernel(cols, budget=budget)
-    return sorted(sol[:m] for sol in sols)
+    return _atom_search(group, values, budget)[1]
 
 
 def enumerate_atoms(class_set: ClassSet,
                     *, budget: int = DEFAULT_NODE_BUDGET) -> AtomSet:
-    """All minimal zero-sum sequences over the class set, with certificate."""
-    vectors = minimal_zero_sum_vectors(class_set.group, class_set.classes,
-                                       budget=budget)
+    """All minimal zero-sum sequences over the class set, with a certificate
+    naming the search that ran (see :func:`minimal_zero_sum_vectors`):
+    ``"zero-sum-free-search"`` with the order of the torsion part it searched,
+    or ``"completion-search"`` with its slack columns."""
+    method, vectors = _atom_search(class_set.group, class_set.classes, budget)
     atoms = tuple(class_set.sequence(v) for v in vectors)
-    cert = {
-        "method": "completion-search",
-        "columns": len(class_set),
-        "slack_columns": len(class_set.group.torsion),
-        "node_budget": budget,
-    }
+    cert = {**method, "columns": len(class_set), "node_budget": budget}
     return AtomSet(class_set, atoms, cert)
 
 
@@ -267,14 +380,10 @@ def atom_length_bound(class_set: ClassSet) -> int:
     finite group never exceeds the group order.  Raises when any class has a
     nonzero free part, since no uniform bound exists then.
     """
-    for g in class_set.classes:
-        if any(g.free_part):
-            raise InfiniteGroupNoBound(
-                "class set touches the free part; supply an explicit bound")
-    bound = 1
-    for d in class_set.group.torsion:
-        bound *= d
-    return bound
+    if not _torsion_only(class_set.classes):
+        raise InfiniteGroupNoBound(
+            "class set touches the free part; supply an explicit bound")
+    return math.prod(class_set.group.torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,9 @@ GOLDEN_ATOMS_REPORT = """{
     ],
     "certificate": {
       "columns": 2,
-      "method": "completion-search",
-      "node_budget": 10000000,
-      "slack_columns": 1
+      "group_order": 3,
+      "method": "zero-sum-free-search",
+      "node_budget": 10000000
     },
     "count": 3
   },
@@ -280,10 +280,14 @@ def test_budget_must_be_a_positive_integer(cyclic3, capsys, budget):
     assert captured.out == "" and "--budget" in captured.err
 
 
-def test_budget_of_one_is_accepted(cyclic3, capsys):
-    # one node is too few for any atom search, but it is a valid budget
+def test_budget_of_one_is_accepted(cyclic3, signed_basis, capsys):
+    # one node is too few for any atom search, but it is a valid budget; the
+    # error names the search: zero-sum-free on a finite class set, completion
+    # on one with a free part
     assert main(["atoms", "--spec", cyclic3, "--budget", "1"]) == 3
-    assert "exceeded 1 nodes" in capsys.readouterr().err
+    assert "zero-sum-free search exceeded 1 nodes" in capsys.readouterr().err
+    assert main(["atoms", "--spec", signed_basis, "--budget", "1"]) == 3
+    assert "completion search exceeded 1 nodes" in capsys.readouterr().err
 
 
 def test_exit_code_non_zero_sum(cyclic3, capsys):

@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strongatoms import zsm
 from strongatoms.abgroup import (
     DEFAULT_NODE_BUDGET,
     FinGenAbelianGroup,
     abelian_groups_of_order,
+    minimal_nonneg_kernel,
+    zero_sum_columns,
 )
 from strongatoms.errors import (
     AtomNotInSet,
@@ -27,6 +29,7 @@ from strongatoms.zsm import (
     factorizations,
     is_minimal_zero_sum,
     length_set,
+    minimal_zero_sum_vectors,
     vector_factorizations,
     vector_length_mask,
 )
@@ -170,6 +173,84 @@ def test_atom_certificate():
     assert atoms.certificate["columns"] == 6
 
 
+def test_atom_certificate_finite_class_set():
+    # torsion-only classes, also inside a group of positive free rank, are
+    # enumerated over the torsion part
+    c6 = FinGenAbelianGroup.cyclic(6)
+    mixed = FinGenAbelianGroup(1, (4,))
+    for cs, order in ((ClassSet(c6, (c6.element((1,)), c6.element((2,)))), 6),
+                      (ClassSet(mixed, (mixed.element((0, 1)), mixed.zero())), 4)):
+        assert enumerate_atoms(cs, budget=50).certificate == {
+            "method": "zero-sum-free-search", "columns": 2, "group_order": order,
+            "node_budget": 50}
+
+
+FINITE_PRESENTATIONS = (FinGenAbelianGroup(0, (6,)), FinGenAbelianGroup(0, (2, 4)),
+                        FinGenAbelianGroup(0, (2, 3)), FinGenAbelianGroup(0, (3, 3)),
+                        FinGenAbelianGroup(0, (2, 2, 2)), FinGenAbelianGroup(1, (4,)))
+
+
+@st.composite
+def finite_value_lists(draw):
+    """(group, values): up to seven torsion-only values, repeats and the zero
+    class allowed, in one of the presentations above."""
+    group = draw(st.sampled_from(FINITE_PRESENTATIONS))
+    coords = st.tuples(*(st.integers(0, d - 1) for d in group.torsion))
+    values = draw(st.lists(coords, max_size=7))
+    return group, [group.element((0,) * group.free_rank + c) for c in values]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(finite_value_lists())
+@example((FinGenAbelianGroup(0, (6,)), [FinGenAbelianGroup(0, (6,)).element((k,))
+                                        for k in (0, 2, 2, 3, 0, 5)]))
+@example((FinGenAbelianGroup(1, (4,)), [FinGenAbelianGroup(1, (4,)).element((0, k))
+                                        for k in (1, 1, 0, 3, 2)]))
+def test_zero_sum_free_search_matches_completion(case):
+    group, values = case
+    m = len(values)
+    want = sorted(s[:m] for s in minimal_nonneg_kernel(zero_sum_columns(group, values)))
+    assert minimal_zero_sum_vectors(group, values) == want
+
+
+@pytest.mark.parametrize("torsion, nodes", [((2, 2, 2, 2), 1380), ((12,), 1079)])
+def test_zero_sum_free_search_node_count(torsion, nodes):
+    # the budget counts the nonempty zero-sum-free multisets: over C2^4 \ 0
+    # those are the 15 + 105 + 420 + 840 independent sets
+    group = FinGenAbelianGroup(0, torsion)
+    cs = ClassSet(group, tuple(g for g in group.elements() if not g.is_zero()))
+    with pytest.raises(BudgetExceeded, match=f"zero-sum-free search exceeded {nodes - 1} nodes"):
+        enumerate_atoms(cs, budget=nodes - 1)
+    enumerate_atoms(cs, budget=nodes)
+
+
+def test_large_torsion_part_goes_to_completion_search():
+    # a subsum mask over Z/10^12 or (Z/2)^40 would not fit in memory; the
+    # completion search finds these atoms within a small budget
+    big = FinGenAbelianGroup.cyclic(10**12)
+    atoms = enumerate_atoms(ClassSet(big, (big.element((5 * 10**11,)),)), budget=2)
+    assert [a.exponents for a in atoms] == [(2,)]
+    assert atoms.certificate["method"] == "completion-search"
+    c2_40 = FinGenAbelianGroup(0, (2,) * 40)
+    e0, e1 = (c2_40.element((1,) * k + (0,) * (40 - k)) for k in (1, 2))
+    atoms = enumerate_atoms(ClassSet(c2_40, (e0, e1, e0 + e1)), budget=100)
+    assert [a.exponents for a in atoms] == [(0, 0, 2), (0, 2, 0), (1, 1, 1), (2, 0, 0)]
+    assert atoms.certificate["method"] == "completion-search"
+
+
+@pytest.mark.parametrize("order, method", [
+    (zsm.ZERO_SUM_FREE_MAX_ORDER, "zero-sum-free-search"),
+    (zsm.ZERO_SUM_FREE_MAX_ORDER + 1, "completion-search")])
+def test_search_choice_at_the_order_threshold(order, method):
+    group = FinGenAbelianGroup.cyclic(order)
+    values = (group.element((1,)), group.element((order // 2,)))
+    atoms = enumerate_atoms(ClassSet(group, values), budget=10**5)
+    assert atoms.certificate["method"] == method
+    want = zsm._zero_sum_free_search(group, values, 10**5)
+    assert want == sorted(s[:2] for s in minimal_nonneg_kernel(zero_sum_columns(group, values)))
+    assert [a.exponents for a in atoms] == want
+
+
 def test_oracle_equivalence_small_orders():
     for n in range(1, 7):
         for group in abelian_groups_of_order(n):
@@ -181,12 +262,11 @@ def test_oracle_equivalence_small_orders():
                     assert got == brute_force_atoms(cs), (group, combo)
 
 
-@pytest.mark.slow
-def test_oracle_equivalence_orders_7_8():
+def check_every_class_set(orders):
     # The atoms of B(S), S a subset of G, are the atoms of B(G) supported in
     # S: a zero-sum subsequence of a sequence over S is itself over S, and
     # the length bound is |G| for both.  So the oracle runs once per group.
-    for n in (7, 8):
+    for n in orders:
         for group in abelian_groups_of_order(n):
             elems = list(group.elements())
             oracle = brute_force_atoms(ClassSet(group, tuple(elems)))
@@ -198,6 +278,16 @@ def test_oracle_equivalence_orders_7_8():
                     want = sorted(tuple(a[i] for i in combo) for a in oracle
                                   if not any(a[i] for i in outside))
                     assert got == want, (group, combo)
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_orders_7_8():
+    check_every_class_set((7, 8))
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_orders_9_10():
+    check_every_class_set((9, 10))
 
 
 def test_enumeration_sound_on_mixed_groups():
