@@ -1,14 +1,16 @@
 """Exact arithmetic in Z[sqrt(d)] for squarefree d < 0 with d = 2, 3 mod 4.
 
-Under that hypothesis Z[sqrt(d)] is the full ring of integers, the norm
-a^2 - d*b^2 is positive definite, and the units are exactly +-1.  Norm-based
-searches make irreducibility and bounded absolute-irreducibility decidable:
-one sieve over the divisors of an element, in increasing norm, lists its
-irreducible divisors and so also decides irreducibility.  Primality is only
-witnessed (explicit non-prime products, or the Euler criterion for inert
-rational primes).  The bounded half-factoriality scan fills one table of
-length sets in increasing norm, built bottom-up from the irreducibles of
-smaller norm.  No cache outlives a call.
+Under that hypothesis Z[sqrt(d)] is the full ring of integers and the norm
+a^2 - d*b^2 is positive definite.  The units are +-1, and also +-i for d = -1;
+`canonical_associate` divides out only the sign, so in Z[i] associates such
+as 3 and 3i stay distinct (ROADMAP items 1 and 5).  Norm-based searches make
+irreducibility and bounded absolute-irreducibility decidable: one sieve over
+the divisors of an element, in increasing norm, lists its irreducible
+divisors and so also decides irreducibility.  Primality is only witnessed
+(explicit non-prime products, or the Euler criterion for inert rational
+primes).  The bounded half-factoriality scan fills one table of length sets
+in increasing norm, built bottom-up from the irreducibles of smaller norm.
+No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -105,19 +107,12 @@ def elements_of_norm(ring: QuadRing, m: int) -> list[QuadInt]:
     """All a + b*sqrt(d) with norm exactly m (both signs), sorted by (a, b)."""
     if m < 0:
         return []
-    if m == 0:
-        return [QuadInt(0, 0)]
     absd = -ring.d
     out = set()
-    b = 0
-    while absd * b * b <= m:
-        rest = m - absd * b * b
-        a = math.isqrt(rest)
-        if a * a == rest:
-            for sa in ((a, -a) if a else (0,)):
-                for sb in ((b, -b) if b else (0,)):
-                    out.add(QuadInt(sa, sb))
-        b += 1
+    for b in range(math.isqrt(m // absd) + 1):
+        a = math.isqrt(m - absd * b * b)
+        if a * a + absd * b * b == m:
+            out.update(QuadInt(sa, sb) for sa in (a, -a) for sb in (b, -b))
     return sorted(out, key=lambda z: (z.a, z.b))
 
 
@@ -211,7 +206,12 @@ def quad_factorizations(ring: QuadRing, t: QuadInt,
     """
     if ring.norm(t) == 0:
         raise ZeroDivisor("cannot factor zero")
-    cands = _irreducible_divisors(ring, t)
+    return _factorizations(ring, t, _irreducible_divisors(ring, t), budget)
+
+
+def _factorizations(ring: QuadRing, t: QuadInt, cands: list[QuadInt],
+                    budget: int) -> list[tuple[int, tuple[QuadInt, ...]]]:
+    """`quad_factorizations` of t, given its irreducible divisors in (norm, a, b) order."""
     out: list[tuple[int, tuple[QuadInt, ...]]] = []
     acc: list[QuadInt] = []
     nodes = 0
@@ -246,13 +246,22 @@ class QuadAbsirredResult:
 
 def quad_brute_absirred(ring: QuadRing, z: QuadInt, n_max: int,
                         *, budget: int = DEFAULT_NODE_BUDGET) -> QuadAbsirredResult:
-    """Exhaustively check that z**n factors only as n copies of +-z, n <= n_max."""
-    if not quad_is_irreducible(ring, z):
+    """Exhaustively check that z**n factors only as n copies of +-z, n <= n_max.
+
+    One sieve lists the irreducible divisors of z**n_max; those of z and of
+    each z**n are its entries that divide them.  `budget` is per power.
+    """
+    nz = ring.norm(z)
+    if nz <= 1:
+        raise ZeroOrUnit("irreducibility is about nonzero nonunits")
+    sieve = _irreducible_divisors(ring, ring.power(z, max(n_max, 1)))
+    if any(ring.norm(w) < nz and quad_divides(ring, w, z) for w in sieve):
         raise ZeroOrUnit("absolute irreducibility is about irreducible elements")
     zc = canonical_associate(z)
     for n in range(1, n_max + 1):
         t = ring.power(z, n)
-        for sign, atoms in quad_factorizations(ring, t, budget=budget):
+        cands = [w for w in sieve if quad_divides(ring, w, t)]
+        for sign, atoms in _factorizations(ring, t, cands, budget):
             if atoms != (zc,) * n:
                 return QuadAbsirredResult(False, n, sign, atoms)
     return QuadAbsirredResult(True)
@@ -268,41 +277,51 @@ def half_factorial_check(ring: QuadRing, max_norm: int,
     the element has a factorization of length k), in increasing norm:
     L(z) is the union of 1 + L(z/w) over the irreducible w whose norm
     properly divides N(z), and z is irreducible exactly when there is none.
-    Its memory is linear in the number of elements of norm <= max_norm.
-    `budget` counts the exact divisions of the whole scan.
+    Elements are (a, b) int pairs: w = (c, e) divides z = (a, b) when N(w)
+    divides a*c + |d|*b*e and b*c - a*e, the coordinates of z * conj(w).
+    Its memory is linear in max_norm (one slot per norm) and in the number
+    of elements of norm <= max_norm.  `budget` counts its exact divisions.
     """
+    if max_norm < 2:
+        return True, None
     absd = -ring.d
-    by_norm: dict[int, list[QuadInt]] = {}
-    for a in range(math.isqrt(max(max_norm, 0)) + 1):
+    width = 2 * math.isqrt(max_norm // absd) + 1
+    by_norm: dict[int, list[tuple[int, int]]] = {}
+    for a in range(math.isqrt(max_norm) + 1):
         bmax = math.isqrt((max_norm - a * a) // absd)
         for b in range(1 if a == 0 else -bmax, bmax + 1):
             n = a * a + absd * b * b
             if n >= 2:
-                by_norm.setdefault(n, []).append(QuadInt(a, b))
-    lengths: dict[QuadInt, int] = {}
-    # divisor_norms[n]: the norms of irreducibles found so far that properly divide n
-    divisor_norms: dict[int, list[int]] = {n: [] for n in by_norm}
-    irreducibles: dict[int, list[QuadInt]] = {}
+                by_norm.setdefault(n, []).append((a, b))
+    # lengths[a * width + b]: the length mask of the canonical (a, b); the index
+    # of -(a, b) is its negative, so abs() of an index canonicalizes by sign only
+    lengths = [0] * ((math.isqrt(max_norm) + 1) * width)
+    # divisors[n]: (c, |d|*e, e, m) for each irreducible (c, e) found so far
+    # whose norm m properly divides n, in increasing m, then in scan order
+    divisors: list[list[tuple[int, int, int, int]] | None] = [None] * (max_norm + 1)
+    for n in by_norm:
+        divisors[n] = []
     divisions = 0
     for n in sorted(by_norm):
-        for z in by_norm[n]:
+        cands = divisors[n]
+        irreducibles = []
+        for a, b in by_norm[n]:
             mask = 0
-            for m in divisor_norms[n]:
-                for w in irreducibles[m]:
-                    divisions += 1
-                    if divisions > budget:
-                        raise BudgetExceeded(f"half-factorial scan exceeded {budget} divisions")
-                    q = ring.exact_divide(z, w)
-                    if q is not None:
-                        mask |= lengths[canonical_associate(q)] << 1
+            divisions += len(cands)  # charged up front: raises iff counting one by one would
+            if divisions > budget and cands:
+                raise BudgetExceeded(f"half-factorial scan exceeded {budget} divisions")
+            for c, de, e, m in cands:
+                x, y = a * c + b * de, b * c - a * e
+                if not (x % m or y % m):  # then (x, y) / m = z / w
+                    mask |= lengths[abs((x * width + y) // m)] << 1
             if not mask:
                 mask = 0b10
-                irreducibles.setdefault(n, []).append(z)
+                irreducibles.append((a, absd * b, b, n))
             elif mask & (mask - 1):
-                return False, z
-            lengths[z] = mask
-        if n in irreducibles:
+                return False, QuadInt(a, b)
+            lengths[a * width + b] = mask
+        if irreducibles:
             for multiple in range(2 * n, max_norm + 1, n):
-                if multiple in divisor_norms:
-                    divisor_norms[multiple].append(n)
+                if divisors[multiple] is not None:
+                    divisors[multiple] += irreducibles
     return True, None

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from strongatoms import quadratic
+from strongatoms.abgroup import DEFAULT_NODE_BUDGET
 from strongatoms.errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from strongatoms.quadratic import (
+    QuadAbsirredResult,
     QuadInt,
     QuadRing,
     _divisors,
@@ -189,6 +191,13 @@ def test_half_factorial_budget_counts_divisions():
     assert half_factorial_check(R14, 324) == (False, QuadInt(18, 0))
 
 
+@pytest.mark.parametrize("max_norm", [-1, 0, 1, 2])
+def test_half_factorial_below_norm_two(max_norm):
+    # no nonzero nonunit has norm below 2; a negative bound once crashed in math.isqrt
+    for d in (-1, -2, -5):
+        assert half_factorial_check(QuadRing(d), max_norm) == (True, None)
+
+
 def per_element_half_factorial_check(ring, max_norm):
     """The former scan: list every factorization of each canonical element."""
     for m in range(2, max_norm + 1):
@@ -313,3 +322,132 @@ def test_brute_absirred_matches_former_list(d, monkeypatch):
     if d == -1:
         # 3 and 3i are both canonical, so 3 = -i * 3i reads as a second factorization
         assert (got.absolutely_irreducible, got.n) == (False, 1)
+
+
+def reference_half_factorial_check(ring, max_norm, *, budget=DEFAULT_NODE_BUDGET):
+    """The former scan on QuadInt elements, dict-keyed tables and one exact
+    division per candidate; returns its result and the divisions it made."""
+    absd = -ring.d
+    by_norm = {}
+    for a in range(math.isqrt(max(max_norm, 0)) + 1):
+        bmax = math.isqrt((max_norm - a * a) // absd)
+        for b in range(1 if a == 0 else -bmax, bmax + 1):
+            n = a * a + absd * b * b
+            if n >= 2:
+                by_norm.setdefault(n, []).append(QuadInt(a, b))
+    lengths = {}
+    # divisor_norms[n]: the norms of irreducibles found so far that properly divide n
+    divisor_norms = {n: [] for n in by_norm}
+    irreducibles = {}
+    divisions = 0
+    for n in sorted(by_norm):
+        for z in by_norm[n]:
+            mask = 0
+            for m in divisor_norms[n]:
+                for w in irreducibles[m]:
+                    divisions += 1
+                    if divisions > budget:
+                        raise BudgetExceeded(f"half-factorial scan exceeded {budget} divisions")
+                    q = ring.exact_divide(z, w)
+                    if q is not None:
+                        mask |= lengths[canonical_associate(q)] << 1
+            if not mask:
+                mask = 0b10
+                irreducibles.setdefault(n, []).append(z)
+            elif mask & (mask - 1):
+                return (False, z), divisions
+            lengths[z] = mask
+        if n in irreducibles:
+            for multiple in range(2 * n, max_norm + 1, n):
+                if multiple in divisor_norms:
+                    divisor_norms[multiple].append(n)
+    return (True, None), divisions
+
+
+def with_pool_bounds(test):
+    """Add an example for every pool ring at the benchmark's bound (|d| + 16)^2."""
+    for d in POOL_D:
+        test = example(d, (abs(d) + 16) ** 2)(test)
+    return test
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SQUAREFREE_D), st.integers(0, 3000))
+@with_pool_bounds
+@example(-21, 1369)
+@example(-33, 2401)
+@example(-57, 5329)
+def test_half_factorial_matches_quadint_reference(d, max_norm):
+    ring = QuadRing(d)
+    expected, least = reference_half_factorial_check(ring, max_norm)
+    assert half_factorial_check(ring, max_norm) == expected
+    # the same divisions in the same order: both pass at `least` and raise just below it
+    assert half_factorial_check(ring, max_norm, budget=least) == expected
+    assert reference_half_factorial_check(ring, max_norm, budget=least)[0] == expected
+    if least:
+        message = f"half-factorial scan exceeded {least - 1} divisions"
+        with pytest.raises(BudgetExceeded, match=message):
+            half_factorial_check(ring, max_norm, budget=least - 1)
+        with pytest.raises(BudgetExceeded, match=message):
+            reference_half_factorial_check(ring, max_norm, budget=least - 1)
+
+
+def reference_brute_absirred(ring, z, n_max, *, budget=DEFAULT_NODE_BUDGET):
+    """The former route: a sieve for z, and one more for each power z**n."""
+    if not quad_is_irreducible(ring, z):
+        raise ZeroOrUnit("absolute irreducibility is about irreducible elements")
+    zc = canonical_associate(z)
+    for n in range(1, n_max + 1):
+        for sign, atoms in quad_factorizations(ring, ring.power(z, n), budget=budget):
+            if atoms != (zc,) * n:
+                return QuadAbsirredResult(False, n, sign, atoms)
+    return QuadAbsirredResult(True)
+
+
+def least_budget(check):
+    """The least budget at which check(budget) does not raise BudgetExceeded."""
+    def passes(budget):
+        try:
+            check(budget)
+        except BudgetExceeded:
+            return False
+        return True
+    hi = 1
+    while not passes(hi):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("d", POOL_D)
+def test_brute_absirred_matches_per_power_sieves(d, monkeypatch):
+    ring = QuadRing(d)
+    small = [QuadInt(a, b) for a in range(6) for b in range(-2, 3) if ring.norm(QuadInt(a, b)) > 1]
+    for z in small:
+        if not quad_is_irreducible(ring, z):
+            with pytest.raises(ZeroOrUnit):
+                quad_brute_absirred(ring, z, 2)
+            continue
+        assert quad_brute_absirred(ring, z, 3) == reference_brute_absirred(ring, z, 3)
+    for z in (QuadInt(0, 0), QuadInt(1, 0), QuadInt(-1, 0)):
+        with pytest.raises(ZeroOrUnit):
+            quad_brute_absirred(ring, z, 2)
+    # the benchmark's input: both need the same least budget
+    z = next(z for z in (QuadInt(3, 0), QuadInt(2, 1), QuadInt(1, 1), QuadInt(5, 0),
+                         QuadInt(3, 1), QuadInt(7, 0), QuadInt(3, 2))
+             if quad_is_irreducible(ring, z))
+    searched = []
+    search = quadratic._factorizations
+    with monkeypatch.context() as patched:
+        patched.setattr(quadratic, "_factorizations",
+                        lambda *args: searched.append(args[1:3]) or search(*args))
+        quad_brute_absirred(ring, z, 3)
+    # each power is searched over its own irreducible divisors, in sieve order
+    assert searched and all(cands == _irreducible_divisors(ring, t) for t, cands in searched)
+    least = least_budget(lambda budget: quad_brute_absirred(ring, z, 3, budget=budget))
+    assert reference_brute_absirred(ring, z, 3, budget=least) == quad_brute_absirred(ring, z, 3)
+    with pytest.raises(BudgetExceeded, match=f"exceeded {least - 1} divisions"):
+        reference_brute_absirred(ring, z, 3, budget=least - 1)
