@@ -12,7 +12,6 @@ from .abgroup import (
     INFINITE,
     FinGenAbelianGroup,
     GroupElement,
-    IntMatrix,
     abelian_groups_of_order,
     is_z_independent,
     kernel_lattice,
@@ -49,7 +48,6 @@ from .nummon import (
     NumericalMonoid,
     nm_atoms,
     nm_factorizations,
-    nm_length_set,
     nm_witness_non_absirred,
 )
 from .ivpoly import (

@@ -10,9 +10,9 @@ Z-independent exactly when its free parts have no rational relation, since a
 rational relation, cleared of denominators and multiplied by the exponent of
 the torsion, kills the torsion part too.  ``positive_kernel_vector`` is
 decided on the same elimination, with the completion search as its fallback
-when the relations span more than a line.  Smith normal form remains only
-behind ``kernel_lattice``, the source of explicit Z-bases, and
-``_invariant_factors``.
+when the relations span more than a line.  Smith normal form, on plain
+row tuples, remains only behind ``kernel_lattice``, the source of explicit
+Z-bases, and ``_invariant_factors``.
 
 Congruence conditions coming from torsion components are reduced to pure
 integer kernels by appending one slack column with coefficient -d_j per
@@ -39,107 +39,23 @@ DEFAULT_NODE_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# Smith normal form
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable rectangular matrix of exact integers."""
-
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise DimensionMismatch("negative matrix dimension")
-        if len(self.rows) != self.nrows:
-            raise DimensionMismatch("row count does not match nrows")
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise DimensionMismatch("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be int, got {x!r}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
-        if ncols is None:
-            if not tup:
-                raise DimensionMismatch("ncols required for a matrix with no rows")
-            ncols = len(tup[0])
-        return cls(len(tup), ncols, tup)
-
-    @classmethod
-    def from_columns(cls, cols: Seq[Seq[int]], nrows: int | None = None) -> "IntMatrix":
-        if nrows is None:
-            if not cols:
-                raise DimensionMismatch("nrows required for a matrix with no columns")
-            nrows = len(cols[0])
-        rows = tuple(tuple(int(col[i]) for col in cols) for i in range(nrows))
-        return cls(nrows, len(cols), rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, entries: Seq[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls(n, n, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        cols = [other.column(j) for j in range(other.ncols)]
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
-        return IntMatrix(self.nrows, other.ncols, rows)
-
-    def det(self) -> int:
-        """Exact determinant (fraction-free Bareiss elimination)."""
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+Rows = tuple[tuple[int, ...], ...]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U*a*V = D, U and V unimodular.
+def smith_normal_form(rows: Seq[Seq[int]], ncols: int) -> tuple[Rows, Rows, Rows]:
+    """Return (U, D, V) with U*A*V = D, U and V unimodular, for the n x ncols
+    matrix A with the given rows; each is a tuple of row tuples.
 
     D is diagonal with nonnegative entries satisfying d_i | d_{i+1}; zero
-    entries come last.
+    entries come last.  ``ncols`` is needed for a matrix with no rows.
     """
-    n, m = a.nrows, a.ncols
-    M = [list(row) for row in a.rows]
+    M = [list(row) for row in rows]
+    if any(len(row) != ncols for row in M):
+        raise DimensionMismatch("ragged matrix rows")
+    n, m = len(M), ncols
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     V = [[int(i == j) for j in range(m)] for i in range(m)]
 
@@ -232,15 +148,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             M[i] = [-x for x in M[i]]
             U[i] = [-x for x in U[i]]
 
-    to_mat = lambda rows, nc: IntMatrix(len(rows), nc, tuple(tuple(r) for r in rows))
-    return to_mat(U, n), to_mat(M, m), to_mat(V, m)
-
-
-def matrix_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : a*x = 0}, via Smith normal form."""
-    _, d, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.nrows, a.ncols)) if d[i, i] != 0)
-    return [v.column(j) for j in range(rank, a.ncols)]
+    return tuple(map(tuple, U)), tuple(map(tuple, M)), tuple(map(tuple, V))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +158,10 @@ def matrix_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 def _invariant_factors(torsion: tuple[int, ...]) -> tuple[int, ...]:
     if not torsion:
         return ()
-    _, d, _ = smith_normal_form(IntMatrix.diagonal(list(torsion)))
-    factors = [d[i, i] for i in range(len(torsion))]
-    return tuple(x for x in factors if x > 1)
+    k = len(torsion)
+    _, d, _ = smith_normal_form(
+        [[t if i == j else 0 for j in range(k)] for i, t in enumerate(torsion)], k)
+    return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,8 +345,9 @@ def kernel_lattice(group: FinGenAbelianGroup,
         raise ValueError("family must be nonempty")
     m = len(family)
     cols = zero_sum_columns(group, family)
-    a = IntMatrix.from_columns(cols, nrows=group.free_rank + len(group.torsion))
-    return [vec[:m] for vec in matrix_kernel_basis(a)]
+    _, d, v = smith_normal_form(list(zip(*cols)), len(cols))
+    rank = sum(1 for i in range(min(len(d), len(cols))) if d[i][i])
+    return [tuple(row[j] for row in v[:m]) for j in range(rank, len(cols))]
 
 
 def rational_relations(group: FinGenAbelianGroup,

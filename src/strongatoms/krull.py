@@ -12,6 +12,9 @@ in agreement: support minimality within the atom set, the kernel criterion on
 the support family (nonnegative dependence of the whole family, integer
 independence of every proper subfamily), and explicit power-factorization
 witnesses.  A bounded brute-force oracle over small powers cross-checks them.
+An atom that repeats a class holding two prime divisors is not absolutely
+irreducible; its witness is built from the atom's exponents (see
+``repeated_class_witness``), with no atom search or factorization listing.
 
 The kernel criterion is decided as a circuit test: it holds exactly when the
 free parts of the family have a one-dimensional space of rational relations,
@@ -41,8 +44,7 @@ from .zsm import (
     Sequence,
     enumerate_atoms,
     factorizations,
-    minimal_zero_sum_vectors,
-    vector_factorizations,
+    is_minimal_zero_sum,
 )
 
 
@@ -323,37 +325,33 @@ class RepeatedClassWitness:
     b_power_different: tuple[tuple[int, ...], ...]
 
 
-def repeated_class_witness(spec: KrullSpec, atom: Sequence, class_index: int,
-                           *, budget: int = DEFAULT_NODE_BUDGET) -> RepeatedClassWitness:
-    """Build and verify the a | b**2 witness for a repeated-class atom."""
-    cs = spec.class_set
-    g = cs.classes[class_index]
+def repeated_class_witness(spec: KrullSpec, atom: Sequence,
+                           class_index: int) -> RepeatedClassWitness:
+    """The a | b**2 witness for an atom u repeating a class g, by construction.
+
+    With m copies of g in u, a = (m, 0, rest), b = (m-1, 1, rest) and
+    a' = (m-2, 2, rest) over the symbols, so that b**2 = a * a'.  Each maps
+    onto u, so each is an atom: a proper nonempty zero-sum subsequence would
+    map onto one of u.  When u has minimal support, u * u is the only
+    factorization of u**2 over the classes, so b**2 has exactly the two
+    factorizations b * b and a' * a (in the lexicographic order of the symbol
+    atoms).
+    """
+    if not is_minimal_zero_sum(atom):
+        raise ValueError("not an atom: the sequence is not a minimal zero-sum sequence")
+    if spec.mult[class_index] < 2:
+        raise ValueError("the class contains a single prime divisor")
     m_g = atom.exponents[class_index]
     if m_g < 2:
         raise ValueError("atom does not repeat the class")
     others = [(i, e) for i, e in enumerate(atom.exponents) if e and i != class_index]
     symbol_classes = (class_index, class_index) + tuple(i for i, _ in others)
-    values = [g, g] + [cs.classes[i] for i, _ in others]
     rest = tuple(e for _, e in others)
     a_vec = (m_g, 0) + rest
     b_vec = (m_g - 1, 1) + rest
-
-    symbol_atoms = minimal_zero_sum_vectors(spec.group, values, budget=budget)
-    if a_vec not in symbol_atoms or b_vec not in symbol_atoms:
-        raise AssertionError("divisor-level sequences failed to be atoms")
-    b_sq = tuple(2 * e for e in b_vec)
-    if not all(x <= y for x, y in zip(a_vec, b_sq)):
-        raise AssertionError("a does not divide b**2 at the divisor level")
-    facs = vector_factorizations(b_sq, symbol_atoms, budget=budget)
-    ib = symbol_atoms.index(b_vec)
-    standard = tuple(sorted((ib, ib)))
-    others_found = [f for f in facs if f != standard]
-    if standard not in facs or not others_found:
-        raise AssertionError("b**2 lacks the expected second factorization")
-    expand = lambda f: tuple(symbol_atoms[i] for i in f)
-    return RepeatedClassWitness(atom, class_index, symbol_classes,
-                                a_vec, b_vec, 2,
-                                expand(standard), expand(others_found[0]))
+    a2_vec = (m_g - 2, 2) + rest
+    return RepeatedClassWitness(atom, class_index, symbol_classes, a_vec, b_vec, 2,
+                                (b_vec, b_vec), (a2_vec, a_vec))
 
 
 @dataclass(frozen=True)
@@ -399,8 +397,7 @@ def classify_scenario(spec: KrullSpec,
                                            budget=bounds.budget)
         else:
             witness = repeated_class_witness(spec, allabs.failing_atom,
-                                             allabs.failing_class_index,
-                                             budget=bounds.budget)
+                                             allabs.failing_class_index)
     has_nonabs = not allabs.holds
     label = f"({_sign(has_nonabs)},{_sign(absnp)},{_sign(prime)})"
     return ScenarioReport(prime, absnp, has_nonabs, label, search, witness, bounds)

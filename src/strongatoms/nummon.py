@@ -4,9 +4,10 @@ Only the additive exponent structure is modeled here.  Multiplicative
 distinctions of an ambient ring (unit groups, coefficient fields) are out of
 scope: the interval monoid with n = 1 is factorial as a monoid regardless of
 what a surrounding ring does.  The generated kind is a small extension kept
-for reuse.  Length sets come from zsm's length table on one-coordinate
-vectors.  All operations are pure, and no membership table outlives the
-call that built it.
+for reuse.  Length sets are not computed here: zsm's length table
+(``vector_length_mask``) takes the atoms as one-coordinate vectors.  All
+operations are pure, and no membership table outlives the call that built
+it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoWitness, NotMember
-from .zsm import vector_length_mask
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,6 @@ def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
 
     rec(x, 0)
     return out
-
-
-def nm_length_set(m: NumericalMonoid, x: int) -> set[int]:
-    """The factorization lengths of x, from zsm's length table over the
-    values 0..x (no factorization is listed).  Raises BudgetExceeded when
-    the table passes its default state budget, 10**7 values."""
-    if x <= 0 or not m.contains(x):
-        raise NotMember(f"{x} is not a positive element of the monoid")
-    mask = vector_length_mask((x,), [(a,) for a in nm_atoms(m)])
-    return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 @dataclass(frozen=True)

@@ -154,31 +154,32 @@ def support_mask(exponents: Seq[int]) -> int:
 
 def is_minimal_zero_sum(s: Sequence) -> bool:
     """True iff s is a nonempty zero-sum sequence with no proper nonempty
-    zero-sum subsequence."""
+    zero-sum subsequence.
+
+    A proper nonempty zero-sum subsequence of a zero-sum s, or the rest of s
+    beside it, misses one copy of s's last class.  So s is minimal exactly
+    when 0 is not a nonempty subsum of T, s less that copy.  T's nonempty
+    subsums are collected class by class into one set, which over a finite
+    group holds at most |G| elements.
+    """
     if s.is_empty():
         raise ValueError("the empty sequence is the unit, not an atom candidate")
     if not s.is_zero_sum():
         return False
-    exps = s.exponents
-    classes = s.class_set.classes
-    idx = [i for i, e in enumerate(exps) if e]
+    exps = list(s.exponents)
+    exps[s.support_indices()[-1]] -= 1
     zero = s.class_set.group.zero()
-
-    # DFS over subexponent vectors, accumulating partial sums coordinate by
-    # coordinate; stops at the first proper nonempty zero-sum subsequence.
-    def walk(pos: int, partial: GroupElement, taken: int) -> bool:
-        if pos == len(idx):
-            return 0 < taken < len(s) and partial == zero
-        i = idx[pos]
-        g = classes[i]
-        cur = partial
-        for c in range(exps[i] + 1):
-            if walk(pos + 1, cur, taken + c):
-                return True
-            cur = cur + g
-        return False
-
-    return not walk(0, zero, 0)
+    sums: set[GroupElement] = set()
+    for e, g in zip(exps, s.class_set.classes):
+        if not e:
+            continue
+        multiples = [g]
+        for _ in range(e - 1):
+            multiples.append(multiples[-1] + g)
+        sums |= {x + y for x in (zero, *sums) for y in multiples}
+        if zero in sums:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

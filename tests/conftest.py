@@ -34,6 +34,13 @@ def cofactor_det(rows):
     return total
 
 
+def matmul(a, b, ncols):
+    """The product of the matrices with rows a and b, as a tuple of row
+    tuples; ``ncols`` is the column count of b, needed when b has no rows."""
+    return tuple(tuple(sum(x * row[j] for x, row in zip(arow, b)) for j in range(ncols))
+                 for arow in a)
+
+
 def solve_rational(columns, target):
     """Solve sum_i c_i * columns[i] = target over Q; None if inconsistent.
 

@@ -29,7 +29,13 @@ from strongatoms.krull import (
     repeated_class_witness,
     witness_non_absirred,
 )
-from strongatoms.zsm import ClassSet, enumerate_atoms, is_minimal_zero_sum
+from strongatoms.zsm import (
+    ClassSet,
+    enumerate_atoms,
+    is_minimal_zero_sum,
+    minimal_zero_sum_vectors,
+    vector_factorizations,
+)
 
 from conftest import small_families
 
@@ -277,6 +283,62 @@ def test_repeated_class_witness_verifies():
         for vec in fac:
             total = [x + y for x, y in zip(total, vec)]
         assert tuple(total) == b2
+
+
+def searched_b_square_factorizations(spec, atom, class_index):
+    """The symbol atoms of a repeated-class witness found by search, and every
+    factorization of b**2 over them, each as a tuple of exponent vectors."""
+    g = spec.class_set.classes[class_index]
+    others = [i for i, e in enumerate(atom.exponents) if e and i != class_index]
+    values = [g, g] + [spec.class_set.classes[i] for i in others]
+    symbol_atoms = minimal_zero_sum_vectors(spec.group, values)
+    rest = tuple(atom.exponents[i] for i in others)
+    b_sq = (2 * atom.exponents[class_index] - 2, 2) + tuple(2 * e for e in rest)
+    facs = vector_factorizations(b_sq, symbol_atoms)
+    return symbol_atoms, [tuple(symbol_atoms[i] for i in f) for f in facs]
+
+
+def test_repeated_class_witness_matches_symbol_level_search():
+    # every atom of minimal support repeating a class, over groups of order
+    # at most 6 and up to three classes: the constructed a, b, a' are symbol
+    # atoms, and b**2 has exactly the factorizations b*b and a'*a
+    checked = 0
+    for n in range(2, 7):
+        for group in abelian_groups_of_order(n):
+            for r in range(1, 4):
+                for combo in combinations(list(group.elements()), r):
+                    cs = ClassSet(group, combo)
+                    spec = KrullSpec(cs, (2,) * r)
+                    atoms = enumerate_atoms(cs)
+                    for i, u in enumerate(atoms):
+                        if atoms.atom_within_support(i) is not None:
+                            continue
+                        for j in (j for j, e in enumerate(u.exponents) if e > 1):
+                            w = repeated_class_witness(spec, u, j)
+                            symbol_atoms, facs = searched_b_square_factorizations(spec, u, j)
+                            assert w.a_exponents in symbol_atoms
+                            assert w.b_exponents in symbol_atoms
+                            assert sorted(facs) == sorted(
+                                [w.b_power_standard, w.b_power_different])
+                            assert w.b_power_different == tuple(sorted(w.b_power_different))
+                            checked += 1
+    assert checked > 100
+
+
+def test_repeated_class_witness_input_checks():
+    cs = ClassSet(C3, (C3.element((1,)), C3.element((2,))))
+    spec = KrullSpec(cs, (2, 2))
+    with pytest.raises(ValueError, match="not an atom"):
+        repeated_class_witness(spec, cs.sequence((3, 3)), 0)
+    with pytest.raises(ValueError, match="not an atom"):
+        repeated_class_witness(spec, cs.sequence((2, 0)), 0)
+    with pytest.raises(ValueError, match="does not repeat"):
+        repeated_class_witness(spec, cs.sequence((1, 1)), 0)
+    with pytest.raises(ValueError, match="single prime divisor"):
+        repeated_class_witness(KrullSpec(cs, (1, 2)), cs.sequence((3, 0)), 0)
+    w = repeated_class_witness(spec, cs.sequence((3, 0)), 0)
+    assert (w.a_exponents, w.b_exponents) == ((3, 0), (2, 1))
+    assert w.b_power_different == ((1, 2), (3, 0))
 
 
 def test_angermueller_examples():

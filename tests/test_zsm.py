@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -123,6 +125,77 @@ def test_is_minimal_zero_sum_examples():
     assert not is_minimal_zero_sum(cs.sequence((1, 0)))  # not zero-sum
     with pytest.raises(ValueError):
         is_minimal_zero_sum(cs.sequence((0, 0)))
+
+
+def walk_is_minimal_zero_sum(s):
+    """Reference for is_minimal_zero_sum: a recursive walk over every
+    sub-exponent vector of a zero-sum s, stopping at the first proper
+    nonempty zero-sum one."""
+    if not s.is_zero_sum():
+        return False
+    exps = s.exponents
+    classes = s.class_set.classes
+    idx = [i for i, e in enumerate(exps) if e]
+    zero = s.class_set.group.zero()
+
+    def walk(pos, partial, taken):
+        if pos == len(idx):
+            return 0 < taken < len(s) and partial == zero
+        g = classes[idx[pos]]
+        cur = partial
+        for c in range(exps[idx[pos]] + 1):
+            if walk(pos + 1, cur, taken + c):
+                return True
+            cur = cur + g
+        return False
+
+    return not walk(0, zero, 0)
+
+
+SEQUENCE_PRESENTATIONS = tuple(FinGenAbelianGroup(r, t) for r, t in (
+    (0, (6,)), (0, (2, 4)), (0, (3, 3)), (0, (2, 2, 2)), (0, (12,)),
+    (1, ()), (2, ()), (3, ()), (1, (2,)), (1, (4,))))
+
+
+@st.composite
+def nonempty_sequences(draw):
+    """A nonempty sequence over up to five distinct classes with exponents up
+    to 4, free coordinates in [-3, 3]; mostly completed to a zero-sum one by
+    the negative of its sum."""
+    group = draw(st.sampled_from(SEQUENCE_PRESENTATIONS))
+    coords = st.tuples(*(st.integers(-3, 3) for _ in range(group.free_rank)),
+                       *(st.integers(0, d - 1) for d in group.torsion))
+    classes = draw(st.lists(coords.map(group.element), min_size=1, max_size=5,
+                            unique_by=lambda g: g.coords()))
+    exps = draw(st.lists(st.integers(0, 4), min_size=len(classes), max_size=len(classes)))
+    if draw(st.integers(0, 3)):
+        total = -ClassSet(group, tuple(classes)).sequence(exps).sigma()
+        if total in classes:
+            exps[classes.index(total)] += 1
+        else:
+            classes.append(total)
+            exps.append(1)
+    if not any(exps):
+        exps[0] = 1
+    return ClassSet(group, tuple(classes)).sequence(exps)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(nonempty_sequences())
+def test_is_minimal_zero_sum_matches_walk(s):
+    assert is_minimal_zero_sum(s) == walk_is_minimal_zero_sum(s)
+
+
+def test_is_minimal_zero_sum_long_cyclic_atom():
+    # 1^24 2^12 3^8 4^6 6^4 8^3 12^2 24 over Z/192: positive integers summing
+    # to 192, so every proper subsum lies strictly between 0 and 192.  The
+    # walk above needs seconds here; the subsum set holds at most 192 classes.
+    group = FinGenAbelianGroup.cyclic(192)
+    cs = ClassSet(group, tuple(group.element((k,)) for k in (1, 2, 3, 4, 6, 8, 12, 24)))
+    atom = cs.sequence((24, 12, 8, 6, 4, 3, 2, 1))
+    assert is_minimal_zero_sum(atom)
+    assert not is_minimal_zero_sum(atom * cs.sequence((0,) * 7 + (8,)))
+    assert not is_minimal_zero_sum(atom / cs.sequence((1,) + (0,) * 7))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +361,58 @@ def test_oracle_equivalence_orders_7_8():
 @pytest.mark.slow
 def test_oracle_equivalence_orders_9_10():
     check_every_class_set((9, 10))
+
+
+# Closed forms for the atoms of B(G minus 0) over groups beyond the brute
+# force's reach.  They check the output, not the method.
+
+
+@lru_cache(maxsize=None)
+def nonzero_atom_lengths(torsion):
+    """The lengths of the atoms of B(G minus 0), G = Z/d_1 + ... + Z/d_k."""
+    group = FinGenAbelianGroup(0, torsion)
+    cs = ClassSet(group, tuple(g for g in group.elements() if not g.is_zero()))
+    return tuple(len(a) for a in enumerate_atoms(cs))
+
+
+@pytest.mark.parametrize("torsion", [(2,) * 5, (4, 4), (2, 8), (3, 3, 3), (16,)],
+                         ids=lambda t: "+".join(f"Z{d}" for d in t))
+def test_longest_atom_is_olson_davenport_constant(torsion):
+    # Olson (J. Number Theory 1, 1969): for a p-group the longest minimal
+    # zero-sum sequence has length D(G) = 1 + sum(n_i - 1)
+    assert max(nonzero_atom_lengths(torsion)) == 1 + sum(d - 1 for d in torsion)
+
+
+@pytest.mark.parametrize("r, count", [(4, 323), (5, 20367)])
+def test_atom_count_of_elementary_2_group(r, count):
+    # the atoms of B(C2^r minus 0) are the g^2 and the circuits of F_2^r:
+    # k independent vectors and their sum, counted (k+1)! times as ordered
+    # k-tuples of independent vectors
+    circuits = sum(math.prod(2**r - 2**i for i in range(k)) // math.factorial(k + 1)
+                   for k in range(2, r + 1))
+    assert (2**r - 1) + circuits == count
+    assert len(nonzero_atom_lengths((2,) * r)) == count
+
+
+def partitions_into_parts(n, parts):
+    """The number of partitions of n into exactly ``parts`` positive parts."""
+    if parts == 0:
+        return int(n == 0)
+    if n < parts:
+        return 0
+    # either some part is 1, or every part is at least 2
+    return partitions_into_parts(n - 1, parts - 1) + partitions_into_parts(n - parts, parts)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_long_atoms_over_cyclic_groups_savchev_chen(n):
+    # Savchev & Chen (Discrete Math. 307, 2007): a minimal zero-sum sequence
+    # over Z/n of length l >= n//2 + 2 is (x_1 g)...(x_l g) for a generator g
+    # and positive x_i summing to n, so there are phi(n) * p(n, l) of them
+    lengths = nonzero_atom_lengths((n,))
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    for length in range(n // 2 + 2, n + 1):
+        assert lengths.count(length) == phi * partitions_into_parts(n, length), length
 
 
 def test_enumeration_sound_on_mixed_groups():
