@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import add, ge
+from operator import add, ge, mul
 from typing import Iterable, Iterator, Sequence as Seq
 
 from .errors import BudgetExceeded, DimensionMismatch
@@ -474,23 +474,46 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
     keyed by (coordinate j, value s_j) for each j in supp(s), with supp(s) as
     a bitmask, and a child is compared, mask first, with its one bucket.
 
+    Children that can no longer reach a solution are dropped.  Coordinate i
+    is blocked at t when t + e_i dominates a solution found so far; since t
+    only grows, it stays blocked for every descendant, so an expansion first
+    tests all its candidates and then freezes the blocked ones for all the
+    children, not only the later siblings.  A child u is then dropped,
+    uninserted and uncounted, when some nonzero row r of A*u has no column
+    outside u's frozen set whose entry in row r has the opposite sign: every
+    descendant adds only such columns, so row r never reaches 0 and no
+    solution lies below u.  Freezing for later siblings does not depend on
+    whether a child is kept, so the solutions, their order and every
+    ``limit`` prefix are those of the tree without dropping, which inserts
+    a superset of the nodes.  On the signed bases {+-e_i, +-f} in Z^n this
+    takes the insertions from 2^(n+1) + n - 1 to 5n - 1.  A*u is not
+    stored: (A*u)_r is computed only for a row r with all its positive or
+    all its negative columns frozen, the only rows that can drop u.
+
     The inner products come from the Gram matrix G[i][j] = <A*e_i, A*e_j>.
     Each node stores the vector (<A*t, A*e_j>)_j and the integer |A*t|^2; the
     child t + e_i gets d + G[i] and n + 2*d[i] + G[i][i], and A*t = 0 exactly
     when |A*t|^2 = 0.  All arithmetic is exact.
 
     Terminates on every input; ``budget`` caps insertions into the tree and
-    raises BudgetExceeded beyond it.  The tree's nodes are among those of the
-    search without freezing, so it never inserts more.  Each inserted node
-    later tries at most m children, each try costing at most one bucket scan
-    and, when the child is inserted, one row of m additions.  A ``limit`` of
-    at least 1 returns the first ``limit`` minimal solutions in search order.
+    raises BudgetExceeded beyond it, naming the degree reached and the
+    solutions found.  The tree's nodes are among those of the search
+    without freezing, so it never inserts more.  Each inserted node later
+    tries at most m children, each try costing at most one bucket scan, k
+    mask tests for A with k rows and one row of m multiplications per row
+    that can drop the child, and, when the child is inserted, one row of m
+    additions.  A ``limit`` of at least 1 returns the first ``limit``
+    minimal solutions in search order.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     m = len(columns)
     gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
             for ci in columns]
+    rows = list(zip(*columns))
+    # the columns with a positive / a negative entry, per row, as bitmasks
+    pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in rows]
+    neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in rows]
     sols: list[tuple[int, ...]] = []
     # buckets[j][x]: (support bitmask, s) for each solution s with s_j = x > 0
     buckets: list[dict[int, list[tuple[int, tuple[int, ...]]]]] = [
@@ -513,24 +536,36 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
         for t, d, norm, mask, frozen in frontier:
             if norm == 0:
                 continue
+            kept = []
             for i, di in enumerate(d):
                 if di >= 0 or frozen >> i & 1:
                     continue
                 ti = t[i] + 1
                 child = t[:i] + (ti,) + t[i + 1:]
-                cmask = mask | (1 << i)
-                outside = ~cmask
+                outside = ~(mask | 1 << i)
                 for smask, s in buckets[i].get(ti, ()):
                     if not smask & outside and all(map(ge, child, s)):
+                        frozen |= 1 << i  # blocked
                         break
+                else:
+                    kept.append((i, di, child))
+            for i, di, child in kept:
+                free = ~frozen
+                for row, p, q in zip(rows, pos, neg):
+                    if not p & free or not q & free:
+                        x = sum(map(mul, child, row))
+                        if x and not (q if x > 0 else p) & free:
+                            break
                 else:
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(
-                            f"completion search exceeded {budget} nodes")
+                            f"completion search exceeded {budget} nodes at "
+                            f"degree {sum(child)} (minimal solutions found so "
+                            f"far: {len(sols)})")
                     gi = gram[i]
                     nxt.append((child, tuple(map(add, d, gi)),
-                                norm + 2 * di + gi[i], cmask, frozen))
+                                norm + 2 * di + gi[i], mask | 1 << i, frozen))
                 frozen |= 1 << i
         frontier = nxt
     return sols

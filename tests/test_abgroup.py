@@ -20,6 +20,7 @@ from strongatoms.abgroup import (
 )
 from strongatoms.errors import BudgetExceeded, DimensionMismatch
 
+from completion_before_pruning import minimal_nonneg_kernel_before_pruning
 from conftest import (
     brute_kernel_vectors,
     brute_nonneg_kernel_exists,
@@ -440,14 +441,23 @@ def test_minimal_nonneg_kernel_matches_box_minimal_solutions():
         assert sorted(sols) == sorted(box_minimal)
 
 
-def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False):
+def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False,
+                                     prune=False):
     """The completion search testing every frontier node and every child
     against every solution found so far, with A*t kept explicitly.  Returns
     the solutions and the number of frontier insertions.
 
     With ``freeze``, coordinates are frozen as in the library: the unit e_i
     starts with {j < i} frozen, and each candidate coordinate of an expansion
-    is frozen for the later siblings, so no child is reached twice."""
+    is frozen for the later siblings, so no child is reached twice.
+
+    ``prune`` implies ``freeze`` and drops children as the library does.  A
+    node also carries a blocked set: an expansion first adds every candidate
+    i whose child t + e_i dominates a solution found so far, and every child
+    inherits the enlarged set.  A child is then dropped, uninserted, when
+    some nonzero entry of A*child has no column outside its frozen and
+    blocked sets with an entry of the opposite sign in that row."""
+    freeze = freeze or prune
     m = len(columns)
     height = len(columns[0]) if m else 0
     zero = (0,) * height
@@ -456,26 +466,39 @@ def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False)
     def dominates_some_solution(t):
         return any(all(tj >= sj for tj, sj in zip(t, s)) for s in sols)
 
+    def bump(t, i):
+        return t[:i] + (t[i] + 1,) + t[i + 1:]
+
+    def cannot_reach_zero(v, closed):
+        return any(x and all(col[r] * x >= 0 for j, col in enumerate(columns)
+                             if j not in closed)
+                   for r, x in enumerate(v))
+
     frontier = {}
     for i in range(m):
         unit = tuple(int(i == j) for j in range(m))
-        frontier[unit] = (columns[i], frozenset(range(i) if freeze else ()))
+        frontier[unit] = (columns[i], frozenset(range(i) if freeze else ()),
+                          frozenset())
     nodes = 0
     while frontier:
-        for t, (v, _) in frontier.items():
+        for t, (v, _, _) in frontier.items():
             if v == zero and not dominates_some_solution(t):
                 sols.append(t)
                 if limit is not None and len(sols) >= limit:
                     return sols, nodes
         nxt = {}
-        for t, (v, frozen) in frontier.items():
+        for t, (v, frozen, blocked) in frontier.items():
             if v == zero or dominates_some_solution(t):
                 continue
-            for i in range(m):
+            candidates = [i for i in range(m)
+                          if i not in frozen | blocked
+                          and sum(a * b for a, b in zip(v, columns[i])) < 0]
+            if prune:
+                blocked = blocked | {i for i in candidates
+                                     if dominates_some_solution(bump(t, i))}
+            for i in candidates:
                 col = columns[i]
-                if i in frozen or sum(a * b for a, b in zip(v, col)) >= 0:
-                    continue
-                child = t[:i] + (t[i] + 1,) + t[i + 1:]
+                child = bump(t, i)
                 child_frozen = frozen
                 if freeze:
                     frozen = frozen | {i}
@@ -484,10 +507,13 @@ def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False)
                     continue
                 if dominates_some_solution(child):
                     continue
+                child_v = tuple(a + b for a, b in zip(v, col))
+                if prune and cannot_reach_zero(child_v, child_frozen | blocked):
+                    continue
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded(f"exceeded {budget} nodes")
-                nxt[child] = (tuple(a + b for a, b in zip(v, col)), child_frozen)
+                nxt[child] = (child_v, child_frozen, blocked)
         frontier = nxt
     return sols, nodes
 
@@ -512,23 +538,25 @@ def small_systems(draw):
 @given(small_systems())
 def test_minimal_nonneg_kernel_matches_linear_scan(cols):
     # a few percent of these systems need more insertions than the slow
-    # reference should make; there the library must stop where the frozen
+    # reference should make; there the library must stop where the pruned
     # reference stops
     cap = 2000
     try:
         want, unfrozen_nodes = linear_scan_minimal_nonneg_kernel(cols, cap)
     except BudgetExceeded:
         try:
-            want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, freeze=True)
+            want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, prune=True)
         except BudgetExceeded:
             with pytest.raises(BudgetExceeded):
                 minimal_nonneg_kernel(cols, budget=cap)
         else:
             assert minimal_nonneg_kernel(cols, budget=cap) == want
         return
-    frozen_want, n = linear_scan_minimal_nonneg_kernel(cols, cap, freeze=True)
-    assert frozen_want == want
-    assert n <= unfrozen_nodes
+    frozen_want, frozen_nodes = linear_scan_minimal_nonneg_kernel(
+        cols, cap, freeze=True)
+    pruned_want, n = linear_scan_minimal_nonneg_kernel(cols, cap, prune=True)
+    assert frozen_want == want and pruned_want == want
+    assert n <= frozen_nodes <= unfrozen_nodes
     assert minimal_nonneg_kernel(cols, budget=n) == want
     if n:
         with pytest.raises(BudgetExceeded):
@@ -591,7 +619,7 @@ def _signed_basis_columns(n):
 
 
 def _larger_systems():
-    for n in range(3, 9):
+    for n in range(3, 13):
         yield f"signed basis n={n}", _signed_basis_columns(n)
     for order_ in range(7, 10):
         for g in abelian_groups_of_order(order_):
@@ -610,6 +638,61 @@ def test_minimal_nonneg_kernel_matches_indexed_search_on_larger_systems(name, co
     for limit in (1, 2):
         assert (minimal_nonneg_kernel(cols, limit=limit)
                 == indexed_minimal_nonneg_kernel(cols, limit=limit))
+
+
+def _least_budget(search, cols, cap):
+    """The least budget at which ``search`` finishes on ``cols``: its number
+    of insertions, found by bisection; None beyond ``cap``."""
+    def finishes(budget):
+        try:
+            search(cols, budget=budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    if not finishes(cap):
+        return None
+    lo, hi = -1, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=200)
+@given(small_families(max_members=5, amp=3,
+                      torsions=((2,), (3,), (2, 4), (6,), (5,), (2, 2))))
+def test_minimal_nonneg_kernel_matches_search_before_pruning(case):
+    # free parts next to torsion residues and their slack columns -d
+    cols = zero_sum_columns(*case)
+    before = _least_budget(minimal_nonneg_kernel_before_pruning, cols, 20000)
+    if before is None:
+        return
+    assert (minimal_nonneg_kernel(cols, budget=before)
+            == minimal_nonneg_kernel_before_pruning(cols))
+    for limit in (1, 2):
+        assert (minimal_nonneg_kernel(cols, limit=limit)
+                == minimal_nonneg_kernel_before_pruning(cols, limit=limit))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_minimal_nonneg_kernel_signed_basis_in_5n_minus_1_insertions(n):
+    # {+-e_i, +-f}: the atoms are e_i + (-e_i), f + (-f), f + sum(-e_i) and
+    # (-f) + sum(e_i); without dropping, the search inserts 2^(n+1) + n - 1
+    cols = _signed_basis_columns(n)
+    assert len(minimal_nonneg_kernel(cols, budget=5 * n - 1)) == n + 3
+    with pytest.raises(BudgetExceeded,
+                       match=f"^completion search exceeded {5 * n - 2} nodes "):
+        minimal_nonneg_kernel(cols, budget=5 * n - 2)
+
+
+def test_completion_budget_message_names_progress():
+    # x + 2y - 3z = 0: (1, 1, 1) is found at degree 3, and the sixth
+    # insertion has degree 4
+    with pytest.raises(BudgetExceeded) as info:
+        minimal_nonneg_kernel([(1,), (2,), (-3,)], budget=5)
+    assert str(info.value) == ("completion search exceeded 5 nodes at degree 4 "
+                               "(minimal solutions found so far: 1)")
 
 
 def test_snf_wider_random_matrices():
