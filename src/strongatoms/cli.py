@@ -4,22 +4,24 @@ Subcommands: atoms | factor | lengths | absirred | classify | verify.
 Human-readable tables by default; ``--machine`` switches to JSON with sorted
 keys, which is the stability contract (timing is shown only in human mode so
 machine reports are byte-identical across runs).  A machine report is exactly
-``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written by
-this module's own writer ``_dumps`` (the stdlib runs ``indent`` through its
-pure-Python encoder).  ``build_parser`` builds the parser once per process;
-in-process callers of ``main`` share it.
+``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline:
+one compact, ASCII-only line from the standard library's C encoder.  Report
+version 2 lists each ``factor`` factorization by its ``atom_indices`` alone;
+``results["atoms"]`` gives the atoms those indices refer to.
+``build_parser`` builds the parser once per process; in-process callers of
+``main`` share it.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error,
-3 search budget exceeded.
+3 search budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import krull, zsm
 from .abgroup import DEFAULT_NODE_BUDGET
@@ -32,8 +34,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _display(seq: zsm.Sequence, labels) -> str:
@@ -104,14 +107,10 @@ def _atoms_payload(spec, labels, budget):
 def _factor_payload(spec, labels, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = zsm.factorizations(seq, atoms, budget=budget)
-    shown = [f"({_display(a, labels)})" for a in atoms]
     payload = {
         "sequence": _seq_dict(seq, labels),
-        "factorizations": [
-            {"atom_indices": list(f.atom_indices),
-             "display": " * ".join(shown[i] for i in f.atom_indices) or "1"}
-            for f in facs
-        ],
+        "atoms": [_seq_dict(a, labels) for a in atoms],
+        "factorizations": [{"atom_indices": list(f.atom_indices)} for f in facs],
         "count": len(facs),
         "lengths": sorted({len(f) for f in facs}),
     }
@@ -216,63 +215,9 @@ def _verify_payload():
 # output
 
 
-def _dumps(report) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, for trees
-    of str-keyed dicts, lists, tuples, str, int, bool and None; any other type
-    (float included) raises TypeError."""
-    parts = []
-    put = parts.append
-
-    def write(o, pad):
-        if isinstance(o, str):
-            put(encode_basestring_ascii(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        elif isinstance(o, dict):
-            if not o:
-                put("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, value in sorted(o.items()):
-                put(sep + encode_basestring_ascii(key) + ": ")
-                write(value, inner)
-                sep = "," + inner
-            put(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                put("[]")
-                return
-            inner = pad + "  "
-            kinds = set(map(type, o))
-            if kinds == {int}:
-                put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
-            elif kinds == {str}:
-                put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, o))
-                    + pad + "]")
-            else:
-                sep = "[" + inner
-                for item in o:
-                    put(sep)
-                    write(item, inner)
-                    sep = "," + inner
-                put(pad + "]")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    write(report, "\n")
-    return "".join(parts)
-
-
 def _emit(report: dict, machine: bool, elapsed: float):
     if machine:
-        print(_dumps(report))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
         return
     print(f"command: {report['command']}")
     results = report["results"]
@@ -285,8 +230,9 @@ def _emit(report: dict, machine: bool, elapsed: float):
     elif cmd in ("factor", "lengths"):
         if "factorizations" in results:
             print(f"{results['count']} factorizations of {results['sequence']['display']}")
+            shown = [f"({a['display']})" for a in results["atoms"]]
             for f in results["factorizations"]:
-                print(f"  {f['display']}")
+                print("  " + (" * ".join(shown[i] for i in f["atom_indices"]) or "1"))
         print(f"lengths: {results['lengths']}  elasticity: {results.get('elasticity')}")
     elif cmd == "absirred":
         for a in results["atoms"]:
@@ -407,6 +353,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(report, args.machine, time.perf_counter() - t0)
     return EXIT_OK
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -5,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from strongatoms.cli import _dumps, build_parser, main
+from strongatoms import zsm
+from strongatoms.cli import EXIT_INTERNAL, _display, build_parser, main, parse_sequence
 from strongatoms.specfile import SpecFileError, load_spec, parse_spec_dict, spec_to_dict
 
 CYCLIC3_SPEC = """{
@@ -26,7 +29,38 @@ SIGNED_BASIS_SPEC = """{
 }
 """
 
-GOLDEN_ATOMS_REPORT = """{
+GOLDEN_ATOMS_REPORT = (
+    '{"command":"atoms","inputs":{"options":{"budget":10000000},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
+    '"results":{"atoms":['
+    '{"absolutely_irreducible":true,"display":"2g^3","exponents":[0,3],"length":3,'
+    '"support":["2g"]},'
+    '{"absolutely_irreducible":false,"display":"g 2g","exponents":[1,1],"length":2,'
+    '"support":["g","2g"]},'
+    '{"absolutely_irreducible":true,"display":"g^3","exponents":[3,0],"length":3,'
+    '"support":["g"]}],'
+    '"certificate":{"columns":2,"group_order":3,"method":"zero-sum-free-search",'
+    '"node_budget":10000000},"count":3},"status":"ok"}\n'
+)
+
+GOLDEN_FACTOR_REPORT = (
+    '{"command":"factor","inputs":{"options":{"budget":10000000,"sequence":[3,3]},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
+    '"results":{"atoms":['
+    '{"display":"2g^3","exponents":[0,3],"length":3,"support":["2g"]},'
+    '{"display":"g 2g","exponents":[1,1],"length":2,"support":["g","2g"]},'
+    '{"display":"g^3","exponents":[3,0],"length":3,"support":["g"]}],'
+    '"count":2,"elasticity":"3/2",'
+    '"factorizations":[{"atom_indices":[0,2]},{"atom_indices":[1,1,1]}],'
+    '"lengths":[2,3],'
+    '"sequence":{"display":"g^3 2g^3","exponents":[3,3],"length":6,"support":["g","2g"]}},'
+    '"status":"ok"}\n'
+)
+
+# The same atoms report in report version 1 (indented), for the content check.
+GOLDEN_ATOMS_REPORT_V1 = """{
   "command": "atoms",
   "inputs": {
     "options": {
@@ -133,10 +167,30 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_redirected(*argv):
+    """``run_cli`` without a pytest fixture, for property tests."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
 def test_atoms_machine_golden(cyclic3, capsys):
     code, out = run_cli(capsys, "atoms", "--spec", cyclic3, "--machine")
     assert code == 0
     assert out == GOLDEN_ATOMS_REPORT
+    # version 2 changed the encoding of this report, not its content
+    v1 = json.loads(GOLDEN_ATOMS_REPORT_V1)
+    v2 = json.loads(out)
+    assert (v1.pop("report_version"), v2.pop("report_version")) == (1, 2)
+    assert v1 == v2
+
+
+def test_factor_machine_golden(cyclic3, capsys):
+    code, out = run_cli(capsys, "factor", "--spec", cyclic3, "--sequence", "g^3,2g^3",
+                        "--machine")
+    assert code == 0
+    assert out == GOLDEN_FACTOR_REPORT
 
 
 def test_machine_reports_deterministic(signed_basis, capsys):
@@ -290,6 +344,21 @@ def test_budget_of_one_is_accepted(cyclic3, signed_basis, capsys):
     assert "completion search exceeded 1 nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 AssertionError("witness does not re-multiply")])
+@pytest.mark.parametrize("machine", [True, False])
+def test_exit_code_internal_error(cyclic3, capsys, monkeypatch, exc, machine):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(zsm, "enumerate_atoms", boom)
+    argv = ["atoms", "--spec", cyclic3] + (["--machine"] if machine else [])
+    assert main(argv) == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_exit_code_non_zero_sum(cyclic3, capsys):
     assert main(["factor", "--spec", cyclic3, "--sequence", "g"]) == 2
 
@@ -369,39 +438,7 @@ def test_module_entry_point(cyclic3):
 
 
 # ---------------------------------------------------------------------------
-# machine-report writer and the shared parser
-
-json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'),
-                              st.characters()))
-json_ints = st.one_of(st.integers(), st.integers(-10**40, 10**40),
-                      st.sampled_from([2**64, -2**100, 10**400]))
-json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_text)
-json_trees = st.recursive(
-    st.one_of(json_scalars,
-              st.lists(json_ints),
-              st.lists(st.one_of(json_ints, st.booleans(), st.none())),
-              st.lists(json_text)),
-    lambda children: st.one_of(st.lists(children, max_size=5),
-                               st.lists(children, max_size=5).map(tuple),
-                               st.dictionaries(json_text, children, max_size=5)),
-    max_leaves=30)
-
-
-@given(json_trees)
-@example([])
-@example({})
-@example({"a": [], "b": {}, "c": [[], {}], "d": ()})
-@example([1, True, 2])
-@example([0, False, None, -1])
-def test_dumps_matches_stdlib_encoder(tree):
-    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
-
-
-def test_dumps_rejects_other_types():
-    for value in (1.5, [0.0], {"x": 1e300}, {1, 2}, object(), {"x": [object()]}):
-        with pytest.raises(TypeError):
-            _dumps(value)
-
+# the shared parser
 
 def _fresh_run(capsys, argv):
     """Machine stdout and exit code of ``argv`` on a newly built parser."""
@@ -438,28 +475,128 @@ def test_shared_parser_after_usage_error(cyclic3, capsys):
     assert build_parser().parse_args(argv).command == "atoms"
 
 
+# machine-report encoding
+
+
 def assert_stdlib_encoded(out):
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("path", sorted(SPECS_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_machine_reports_equal_stdlib_encoding(path, capsys):
-    spec = ["--spec", str(path), "--machine"]
-    code, out = run_cli(capsys, "atoms", *spec)
+BUNDLED_SPECS = sorted(SPECS_DIR.glob("*.json"))
+
+
+def product_of_atoms(path, capsys):
+    """The exponent vector of the product of all atoms of a spec, as the CLI
+    lists them."""
+    code, out = run_cli(capsys, "atoms", "--spec", str(path), "--machine")
     assert code == 0
-    assert_stdlib_encoded(out)
-    # one sequence: the product of all atoms
     atoms = json.loads(out)["results"]["atoms"]
-    seq = ",".join(str(sum(col)) for col in zip(*(a["exponents"] for a in atoms)))
-    for argv in (["factor", "--sequence", seq], ["lengths", "--sequence", seq],
+    return ",".join(str(sum(col)) for col in zip(*(a["exponents"] for a in atoms)))
+
+
+def bundled_machine_reports(path, capsys):
+    """The machine report of every spec command on ``path``; factor and
+    lengths run on the product of all atoms."""
+    seq = product_of_atoms(path, capsys)
+    reports = []
+    for argv in (["atoms"], ["factor", "--sequence", seq], ["lengths", "--sequence", seq],
                  ["absirred", "--nmax", "3"], ["classify"]):
-        code, out = run_cli(capsys, argv[0], *spec, *argv[1:])
+        code, out = run_cli(capsys, argv[0], "--spec", str(path), "--machine", *argv[1:])
         assert code == 0
+        reports.append(out)
+    return reports
+
+
+@pytest.mark.parametrize("path", BUNDLED_SPECS, ids=lambda p: p.stem)
+def test_machine_reports_equal_stdlib_encoding(path, capsys):
+    for out in bundled_machine_reports(path, capsys):
         assert_stdlib_encoded(out)
+        assert out.isascii() and out.count("\n") == 1
 
 
 def test_verify_report_equals_stdlib_encoding(capsys):
     assert_stdlib_encoded(run_cli(capsys, "verify", "--machine")[1])
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in a machine report")
+
+
+def parse_without_floats(out):
+    return json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+
+
+@pytest.mark.parametrize("path", [*BUNDLED_SPECS, None],
+                         ids=lambda p: "verify" if p is None else p.stem)
+def test_machine_reports_hold_no_floats(path, capsys):
+    # arithmetic is exact: fractions travel as strings, never as JSON numbers
+    reports = ([run_cli(capsys, "verify", "--machine")[1]] if path is None
+               else bundled_machine_reports(path, capsys))
+    for out in reports:
+        assert parse_without_floats(out)["status"] == "ok"
+    with pytest.raises(AssertionError):
+        parse_without_floats('{"x": 1.5}')
+
+
+# ---------------------------------------------------------------------------
+# factor reports against the library and the version-1 display rule
+
+
+def v1_factorization_display(atom_exponents, atom_indices, labels):
+    """A factorization row's ``display`` in report version 1, from the atoms'
+    exponent vectors."""
+    def display(exponents):
+        parts = [labels[i] if e == 1 else f"{labels[i]}^{e}"
+                 for i, e in enumerate(exponents) if e]
+        return " ".join(parts) if parts else "1"
+    return " * ".join(f"({display(atom_exponents[i])})" for i in atom_indices) or "1"
+
+
+def check_factor_against_library(path, seq_text):
+    spec, labels = load_spec(path)
+    seq = parse_sequence(seq_text, spec.class_set, labels)
+    atoms = zsm.enumerate_atoms(spec.class_set)
+    facs = zsm.factorizations(seq, atoms)
+    code, out = run_redirected("factor", "--spec", str(path), "--sequence", seq_text,
+                               "--machine")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [f["atom_indices"] for f in results["factorizations"]] == [
+        list(f.atom_indices) for f in facs]
+    assert all(set(f) == {"atom_indices"} for f in results["factorizations"])
+    assert results["count"] == len(facs)
+    assert results["lengths"] == sorted({len(f) for f in facs})
+    assert results["elasticity"] == str(zsm.length_set_elasticity(len(f) for f in facs))
+    assert [a["exponents"] for a in results["atoms"]] == [list(a.exponents) for a in atoms]
+    assert [a["display"] for a in results["atoms"]] == [_display(a, labels) for a in atoms]
+
+    code, out = run_redirected("factor", "--spec", str(path), "--sequence", seq_text)
+    assert code == 0
+    lines = human_lines(out)
+    assert lines[1] == f"{len(facs)} factorizations of {_display(seq, labels)}"
+    exponents = [a["exponents"] for a in results["atoms"]]
+    assert lines[2:-1] == [
+        "  " + v1_factorization_display(exponents, f["atom_indices"], labels)
+        for f in results["factorizations"]]
+
+
+@pytest.mark.parametrize("path", BUNDLED_SPECS, ids=lambda p: p.stem)
+def test_factor_report_matches_library_and_v1_display(path, capsys):
+    check_factor_against_library(path, product_of_atoms(path, capsys))
+
+
+@pytest.mark.parametrize("name", ["cyclic3_full", "two_classes_one_doubled"])
+@settings(max_examples=40)
+@given(multiplicities=st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_factor_report_matches_library_on_generated_sequences(name, multiplicities):
+    # zero-sum sequences as products of atoms, with up to 4 copies of each
+    # (the doubled spec has two atoms; zip drops the third multiplicity)
+    path = SPECS_DIR / f"{name}.json"
+    spec, _ = load_spec(path)
+    atoms = zsm.enumerate_atoms(spec.class_set)
+    exps = [sum(m * a.exponents[i] for m, a in zip(multiplicities, atoms))
+            for i in range(len(spec.class_set))]
+    check_factor_against_library(path, ",".join(map(str, exps)))
 
 
 def human_lines(out):
@@ -480,6 +617,24 @@ def test_factor_human_output(signed_basis, capsys):
         "  (-e1 -e2 f) * (e1 e2 -f)",
         "lengths: [2, 3]  elasticity: 3/2",
     ]
+
+
+@pytest.mark.parametrize("sequence, expected", [
+    ("g^6,2g^6", [
+        "3 factorizations of g^6 2g^6",
+        "  (2g^3) * (2g^3) * (g^3) * (g^3)",
+        "  (2g^3) * (g 2g) * (g 2g) * (g 2g) * (g^3)",
+        "  (g 2g) * (g 2g) * (g 2g) * (g 2g) * (g 2g) * (g 2g)",
+        "lengths: [4, 5, 6]  elasticity: 3/2",
+    ]),
+    ("0,0", ["1 factorizations of 1", "  1", "lengths: [0]  elasticity: 1"]),
+])
+def test_factor_human_output_cyclic3(cyclic3, capsys, sequence, expected):
+    # lines printed by the report-version-1 CLI; rebuilding rows from
+    # results["atoms"] must print them unchanged
+    code, out = run_cli(capsys, "factor", "--spec", cyclic3, "--sequence", sequence)
+    assert code == 0
+    assert human_lines(out) == ["command: factor", *expected]
 
 
 def test_lengths_human_output(signed_basis, capsys):
