@@ -12,7 +12,8 @@ version 2 lists each ``factor`` factorization by its ``atom_indices`` alone;
 ``main`` share it.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error,
-3 search budget exceeded, 4 internal error.
+3 search budget exceeded, 4 internal error or standard output closed
+before the report was written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -133,7 +135,7 @@ def _absirred_payload(spec, labels, seq, budget, nmax):
         entry = _seq_dict(a, labels)
         entry["support_criterion"] = krull.is_absirred_support(a, atoms)
         entry["kernel_criterion"] = krull.is_absirred_kernel(spec.group, a.support())
-        w = krull.witness_non_absirred(a, atoms, budget=budget)
+        w = krull.witness_non_absirred(a, atoms)
         if w is None:
             entry["witness"] = None
         else:
@@ -143,8 +145,7 @@ def _absirred_payload(spec, labels, seq, budget, nmax):
                 "different": list(w.different.atom_indices),
             }
         if nmax is not None:
-            entry["brute_force_up_to_nmax"] = krull.brute_force_absirred(
-                a, atoms, nmax, budget=budget)
+            entry["brute_force_up_to_nmax"] = krull.brute_force_absirred(a, atoms, nmax)
         return entry
 
     if seq is not None:
@@ -256,6 +257,24 @@ def _emit(report: dict, machine: bool, elapsed: float):
     print(f"elapsed: {elapsed:.3f}s")
 
 
+def _write(report: dict, machine: bool, t0: float, code: int) -> int:
+    """Emit the report and return ``code``, or EXIT_INTERNAL with one stderr
+    line when standard output is closed before the report is written (a
+    reader such as ``head`` exits early).  fd 1 then points at os.devnull,
+    so the interpreter's last flush of stdout at exit stays quiet."""
+    try:
+        _emit(report, machine, time.perf_counter() - t0)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("internal error: standard output closed before the report was written",
+              file=sys.stderr)
+        return EXIT_INTERNAL
+    return code
+
+
 def _budget(text: str) -> int:
     try:
         value = int(text)
@@ -300,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_abs)
     p_abs.add_argument("--sequence", help="restrict to one atom")
     p_abs.add_argument("--nmax", type=int,
-                       help="also run the brute-force power check up to n")
+                       help="also check that no power u^n with n <= NMAX has a second "
+                            "factorization (no other atom divides u^NMAX)")
 
     p_cls = sub.add_parser("classify", help="existence scenario row")
     common(p_cls)
@@ -322,8 +342,7 @@ def main(argv=None) -> int:
             results, ok = _verify_payload()
             report["results"] = results
             report["status"] = "ok" if ok else "mismatch"
-            _emit(report, args.machine, time.perf_counter() - t0)
-            return EXIT_OK if ok else EXIT_MISMATCH
+            return _write(report, args.machine, t0, EXIT_OK if ok else EXIT_MISMATCH)
 
         spec, labels = load_spec(args.spec)
         report["inputs"] = {"spec": spec_to_dict(spec, labels)}
@@ -356,8 +375,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(report, args.machine, time.perf_counter() - t0)
-    return EXIT_OK
+    return _write(report, args.machine, t0, EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ Three routes to absolute irreducibility of an atom are implemented and kept
 in agreement: support minimality within the atom set, the kernel criterion on
 the support family (nonnegative dependence of the whole family, integer
 independence of every proper subfamily), and explicit power-factorization
-witnesses.  A bounded brute-force oracle over small powers cross-checks them.
+witnesses.  A power check over small powers cross-checks them: u**n has a
+second factorization exactly when another atom divides it, so one
+divisibility scan of u**n_max decides every n up to n_max.
 An atom that repeats a class holding two prime divisors is not absolutely
 irreducible; its witness is built from the atom's exponents (see
 ``repeated_class_witness``), with no atom search or factorization listing.
@@ -43,7 +45,6 @@ from .zsm import (
     Factorization,
     Sequence,
     enumerate_atoms,
-    factorizations,
     is_minimal_zero_sum,
 )
 
@@ -130,13 +131,15 @@ class PowerWitness:
     different: Factorization
 
 
-def witness_non_absirred(u: Sequence, atom_set: AtomSet,
-                         *, budget: int = DEFAULT_NODE_BUDGET) -> PowerWitness | None:
+def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     """A power of u with an essentially different factorization, or None.
 
     Picks the first atom v != u supported inside supp(u), raises u to the
-    smallest power divisible by v, and factors the cofactor.  Returns None
-    exactly when u has minimal support.
+    smallest power divisible by v, and factors the cofactor greedily: each
+    atom in index order is taken as often as it fits.  The remainder stays a
+    zero-sum sequence, so every atom that fits it occurs in one of its
+    factorizations, and the result is the cofactor's lexicographically first
+    factorization.  Returns None exactly when u has minimal support.
     """
     iu = atom_set.index(u)
     iv = atom_set.atom_within_support(iu)
@@ -144,29 +147,32 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet,
         return None
     v = atom_set[iv]
     n = max(-(-v.exponents[j] // u.exponents[j]) for j in v.support_indices())
-    power = u ** n
-    cofactor = power / v
-    co_facs = factorizations(cofactor, atom_set, budget=budget, limit=1)
-    different = Factorization((iv,) + co_facs[0].atom_indices)
+    rem = list((u ** n / v).exponents)
+    taken = [iv]
+    for i, a in enumerate(atom_set):
+        support = a.support_indices()
+        c = min(rem[j] // a.exponents[j] for j in support)
+        if c:
+            for j in support:
+                rem[j] -= c * a.exponents[j]
+            taken += [i] * c
     standard = Factorization((iu,) * n)
-    return PowerWitness(u, n, standard, different)
+    return PowerWitness(u, n, standard, Factorization(tuple(taken)))
 
 
-def brute_force_absirred(u: Sequence, atom_set: AtomSet, n_max: int,
-                         *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Oracle: no power u**n with n <= n_max has a second factorization.
+def brute_force_absirred(u: Sequence, atom_set: AtomSet, n_max: int) -> bool:
+    """No power u**n with n <= n_max has a second factorization.
 
+    u**n has one exactly when some atom v != u divides it: u**n / v is then a
+    zero-sum sequence, which factors.  An atom dividing u**n divides
+    u**n_max, so one divisibility test per atom decides every n <= n_max.
     This is a necessary-condition test; witnesses may live beyond n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     iu = atom_set.index(u)
-    for n in range(1, n_max + 1):
-        facs = factorizations(u ** n, atom_set, budget=budget, limit=2)
-        expected = Factorization((iu,) * n)
-        if len(facs) > 1 or facs[0] != expected:
-            return False
-    return True
+    power = u ** n_max
+    return not any(a.divides(power) for i, a in enumerate(atom_set) if i != iu)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +399,7 @@ def classify_scenario(spec: KrullSpec,
     witness: PowerWitness | RepeatedClassWitness | None = None
     if not allabs.holds:
         if allabs.failed_condition == "support-minimality":
-            witness = witness_non_absirred(allabs.failing_atom, allabs.atom_set,
-                                           budget=bounds.budget)
+            witness = witness_non_absirred(allabs.failing_atom, allabs.atom_set)
         else:
             witness = repeated_class_witness(spec, allabs.failing_atom,
                                              allabs.failing_class_index)

@@ -15,12 +15,10 @@ The factorization table splits each factorization uniquely into its
 *block*, the atoms nonzero in the remainder's first nonzero class, and a
 factorization of what the block leaves (see :func:`vector_factorizations`);
 each multiset of atoms is therefore produced exactly once, and only the
-target's list is sorted.  A call that asks only for the first few
-factorizations does not fill that table: a lexicographic search over atom
-multiplicities stops once it has them.  Length sets and elasticity list no
-factorization: their table holds length bitmasks and steps one atom of the
-first nonzero class at a time, so it reaches a multiset of atoms once for
-each of its atoms in that class and gives lengths, not factorization counts.
+target's list is sorted.  Length sets and elasticity list no factorization:
+their table holds length bitmasks and steps one atom of the first nonzero
+class at a time, so it reaches a multiset of atoms once for each of its
+atoms in that class and gives lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import le, sub
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence as Seq
 
 from .abgroup import (
@@ -497,15 +495,27 @@ def _blocks(rem: int, through: int, candidates: list[int], packed: list[int],
             return out, nodes
 
 
-def _all_factorizations(target: tuple[int, ...],
-                        atom_vectors: Seq[tuple[int, ...]],
-                        budget: int) -> list[tuple[int, ...]]:
-    """Every factorization of ``target``, from the block table described in
-    :func:`vector_factorizations`, filled in one post-order pass on an
-    explicit stack: a state lists its blocks, pushes the unfilled remainders
-    they leave, and merges its list once all of them are filled.  A node is
-    counted before it is made and checked before any entry is made (a
-    state's own node with its first count or its merge)."""
+def vector_factorizations(target: Seq[int],
+                          atom_vectors: Seq[tuple[int, ...]],
+                          *, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
+    """All multisets of nonzero atom vectors summing to ``target``, as sorted
+    index tuples in lexicographic order.
+
+    A table keyed by remainders packed into ints: F(0) = [()], and otherwise,
+    with j rem's first nonzero class, every atom that fits rem is zero before
+    j, so a factorization of rem splits uniquely into its block (its atoms
+    that are nonzero in class j, whose class-j entries sum to rem[j]) and a
+    factorization of rem minus the block's sum, which is zero through j.
+    F(rem) holds each entry of F(rem - block) followed by the block, and only
+    F(target) is sorted, entries and all.  The table is filled in one
+    post-order pass on an explicit stack: a state lists its blocks, pushes the
+    unfilled remainders they leave, and merges its list once all of them are
+    filled.  ``budget`` counts the table's states, the counts tried while
+    listing blocks and the merged entries, so it also bounds the lists, kept
+    until the call returns.  A node is counted before it is made and checked
+    before any entry is made (a state's own node with its first count or its
+    merge).
+    """
     w, guard, top, by_first, packed = _packed(target, atom_vectors)
     table: dict[int, list[tuple[int, ...]]] = {0: [()]}
     stack: list[tuple[int, list | None]] = [(top, None)]
@@ -531,116 +541,6 @@ def _all_factorizations(target: tuple[int, ...],
         table[rem] = sorted(tuple(sorted(f)) for f in merged) if rem == top else list(merged)
         stack.pop()
     return table[top]
-
-
-def _first_factorizations(target: tuple[int, ...],
-                          atom_vectors: Seq[tuple[int, ...]],
-                          budget: int, limit: int) -> list[tuple[int, ...]]:
-    """The first ``limit`` factorizations of ``target``, from a
-    lexicographic search that stops once it has them.
-
-    Each level of an explicit stack holds a remainder and the first atom it
-    may take; it takes atoms in increasing index order, each with as many
-    copies as fit and then one fewer at a time, and the next level starts
-    after that atom.  A remainder's factorizations all take an atom of its
-    first nonzero class, so a level takes no atom past the last such atom
-    that fits, and that atom only with the copies that close the class; nor
-    does it go on once the atoms after the current one miss a class of its
-    remainder.  Nodes are the counts tried: set, or stepped down by one.
-    The counts are those of a plain multiplicity search, in its order, less
-    some that lead to no factorization.
-    """
-    by_first = _fitting_by_first_class(target, atom_vectors)
-    order = sorted(i for fitting in by_first for i in fitting)
-    position = {i: p for p, i in enumerate(order)}
-    first_class = [[position[i] for i in fitting] for fitting in by_first]
-    vectors = [atom_vectors[i] for i in order]
-    supports = [tuple(j for j, x in enumerate(v) if x) for v in vectors]
-    masks = [support_mask(v) for v in vectors]
-    cover = [0] * (len(order) + 1)    # the classes of the atoms from a position on
-    for p in range(len(order) - 1, -1, -1):
-        cover[p] = cover[p + 1] | masks[p]
-    out: list[tuple[int, ...]] = []
-    levels: list[list] = []           # [rem, need, end, j, position, copies]
-    rem, need, start = target, support_mask(target), 0
-    nodes = 0
-    while True:
-        if not need:
-            out.append(tuple(order[lv[4]] for lv in levels for _ in range(lv[5])))
-            if len(out) >= limit:
-                return out
-        else:
-            j = (need & -need).bit_length() - 1
-            end = 0
-            for p in reversed(first_class[j]):
-                if all(map(le, vectors[p], rem)):
-                    end = p + 1
-                    break
-            levels.append([rem, need, end, j, start, 0])
-        while levels:
-            level = levels[-1]
-            above, need, end, j, p, c = level
-            # one copy fewer leaves every class of the remainder open
-            if c > 1 and p < end - 1 and not need & ~cover[p + 1]:
-                c -= 1
-            else:
-                if c:
-                    p += 1
-                c = 0
-                while p < end and not need & ~cover[p]:
-                    if not masks[p] & ~need:
-                        v = vectors[p]
-                        c = min([above[s] // v[s] for s in supports[p]])
-                        if p == end - 1 and c * v[j] != above[j]:
-                            c = 0
-                        if c:
-                            break
-                    p += 1
-            if c:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"factorization search exceeded {budget} nodes")
-                level[4], level[5] = p, c
-                v = vectors[p] if c == 1 else [c * x for x in vectors[p]]
-                rem = tuple(map(sub, above, v))
-                for s in supports[p]:
-                    if not rem[s]:
-                        need ^= 1 << s
-                start = p + 1
-                break
-            levels.pop()
-        else:
-            return out
-
-
-def vector_factorizations(target: Seq[int],
-                          atom_vectors: Seq[tuple[int, ...]],
-                          *, budget: int = DEFAULT_NODE_BUDGET,
-                          limit: int | None = None) -> list[tuple[int, ...]]:
-    """All multisets of nonzero atom vectors summing to ``target``, as sorted
-    index tuples in lexicographic order; with ``limit``, the first ``limit``
-    of them.
-
-    Without ``limit``, a table keyed by remainders packed into ints: F(0) =
-    [()], and otherwise, with j rem's first nonzero class, every atom that
-    fits rem is zero before j, so a factorization of rem splits uniquely into
-    its block (its atoms that are nonzero in class j, whose class-j entries
-    sum to rem[j]) and a factorization of rem minus the block's sum, which is
-    zero through j.  F(rem) holds each entry of F(rem - block) followed by
-    the block, and only F(target) is sorted, entries and all.  ``budget``
-    counts the table's states, the counts tried while listing blocks and the
-    merged entries, so it also bounds the lists, kept until the call returns.
-
-    With ``limit``, at least 1, a lexicographic search over atom
-    multiplicities that stops at the ``limit``-th factorization; ``budget``
-    counts the multiplicities tried.
-    """
-    target = tuple(target)
-    if limit is None:
-        return _all_factorizations(target, atom_vectors, budget)
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    return _first_factorizations(target, atom_vectors, budget, limit)
 
 
 def vector_length_mask(target: Seq[int],
@@ -693,15 +593,14 @@ def _factorable(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
 
 
 def factorizations(b: Sequence, atom_set: AtomSet,
-                   *, budget: int = DEFAULT_NODE_BUDGET,
-                   limit: int | None = None) -> list[Factorization]:
+                   *, budget: int = DEFAULT_NODE_BUDGET) -> list[Factorization]:
     """Complete, duplicate-free list of factorizations of b into atoms.
 
     The empty sequence has exactly the empty factorization.  Raises
     NotZeroSum unless sigma(b) = 0.
     """
     vecs = _factorable(b, atom_set)
-    found = vector_factorizations(b.exponents, vecs, budget=budget, limit=limit)
+    found = vector_factorizations(b.exponents, vecs, budget=budget)
     return [Factorization(ix) for ix in found]
 
 

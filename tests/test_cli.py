@@ -437,6 +437,27 @@ def test_module_entry_point(cyclic3):
     assert json.loads(result.stdout)["results"]["count"] == 3
 
 
+@pytest.mark.parametrize("machine", [True, False])
+def test_closed_stdout_exits_internal_without_traceback(tmp_path, machine):
+    # a reader that stops early (| head -c 10): the 130 KB factor report
+    # outgrows the pipe's buffer, so the write fails with a broken pipe
+    spec = tmp_path / "z5.json"
+    spec.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [5]},
+                                "classes": [[1], [2], [3], [4]],
+                                "labels": ["g", "2g", "3g", "4g"], "mult": [1] * 4}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "strongatoms.cli", "factor", "--spec", str(spec),
+         "--sequence", "10,10,10,10", *(["--machine"] if machine else [])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_INTERNAL
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("internal error:")
+
+
 # ---------------------------------------------------------------------------
 # the shared parser
 

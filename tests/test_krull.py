@@ -1,8 +1,8 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from strongatoms.abgroup import (
     INFINITE,
@@ -38,6 +38,7 @@ from strongatoms.zsm import (
 )
 
 from conftest import small_families
+from factorization_search import next_index_vector_factorizations, search_power_absirred
 
 C2 = FinGenAbelianGroup.cyclic(2)
 C3 = FinGenAbelianGroup.cyclic(3)
@@ -165,12 +166,60 @@ def test_brute_force_absirred_examples():
     f_minus_f = spec.class_set.sequence((0, 0, 0, 0, 1, 1))
     assert brute_force_absirred(f_minus_f, atoms, 4)
 
+    # g * 2g: its first power with a second factorization is the cube,
+    # g^3 * (2g)^3, so the check holds up to 2 and fails from 3 on
     cs3, atoms3 = c3_full()
-    assert not brute_force_absirred(cs3.sequence((1, 1)), atoms3, 3)
+    t = cs3.sequence((1, 1))
+    assert witness_non_absirred(t, atoms3).n == 3
+    assert brute_force_absirred(t, atoms3, 2)
+    assert not brute_force_absirred(t, atoms3, 3)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        brute_force_absirred(t, atoms3, 0)
 
     c2full = ClassSet(C2, (C2.zero(), C2.element((1,))))
     atoms2 = enumerate_atoms(c2full)
     assert brute_force_absirred(c2full.sequence((1, 0)), atoms2, 5)
+
+
+POWER_CHECK_GROUPS = (*(FinGenAbelianGroup.cyclic(n) for n in range(2, 9)),
+                      FinGenAbelianGroup(0, (2, 2)), FinGenAbelianGroup(0, (2, 4)),
+                      FinGenAbelianGroup(0, (3, 3)), Z1, FinGenAbelianGroup(1, (2,)))
+
+
+@st.composite
+def small_class_sets(draw):
+    """1-5 distinct classes of a finite group of order at most 9, or of Z or
+    Z + Z/2 with free coordinate in [-3, 3]."""
+    group = draw(st.sampled_from(POWER_CHECK_GROUPS))
+    if group.is_finite:
+        elems = list(group.elements())
+    else:
+        elems = [group.element(c)
+                 for c in product(range(-3, 4), *(range(d) for d in group.torsion))]
+    classes = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=5,
+                            unique_by=lambda g: g.coords()))
+    return ClassSet(group, tuple(classes))
+
+
+@settings(max_examples=150)
+@given(small_class_sets())
+def test_power_check_and_witness_match_factorization_search(cs):
+    # the divisibility check against a search for a second factorization of
+    # each power, and the greedy cofactor against the search's first
+    # factorization
+    atoms = enumerate_atoms(cs)
+    vectors = [a.exponents for a in atoms]
+    for iu, u in enumerate(atoms):
+        for k in range(1, 5):
+            assert (brute_force_absirred(u, atoms, k)
+                    == search_power_absirred(u.exponents, vectors, k))
+        w = witness_non_absirred(u, atoms)
+        if w is not None:
+            iv = atoms.atom_within_support(iu)
+            cofactor = (u ** w.n / atoms[iv]).exponents
+            first = next_index_vector_factorizations(cofactor, vectors, 1)
+            assert w.standard.atom_indices == (iu,) * w.n
+            assert w.different.atom_indices == tuple(sorted((iv,) + first[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +426,14 @@ def test_criterion_agreement_orders_up_to_5():
                 for combo in combinations(elems, r):
                     cs = ClassSet(group, combo)
                     atoms = enumerate_atoms(cs)
+                    vectors = [a.exponents for a in atoms]
                     for u in atoms:
                         by_support = is_absirred_support(u, atoms)
                         by_kernel = is_absirred_kernel(group, u.support())
                         w = witness_non_absirred(u, atoms)
                         assert by_support == by_kernel == (w is None)
                         if by_support:
-                            assert brute_force_absirred(u, atoms, 4)
+                            assert search_power_absirred(u.exponents, vectors, 4)
 
 
 def test_corollary_full_class_set_sweep():

@@ -36,6 +36,11 @@ from strongatoms.zsm import (
     vector_length_mask,
 )
 
+from factorization_search import (
+    next_index_vector_factorizations,
+    recursive_vector_factorizations,
+)
+
 Z2 = FinGenAbelianGroup.free(2)
 Z1 = FinGenAbelianGroup.free(1)
 C3 = FinGenAbelianGroup.cyclic(3)
@@ -510,47 +515,6 @@ def test_factorizations_budget():
         factorizations((u * v) ** 3, atoms, budget=5)
 
 
-def recursive_vector_factorizations(target, atom_vectors, limit=None):
-    """Reference: the former recursive search, one atom per call frame in
-    nondecreasing index order, with suffix-cover pruning."""
-    m = len(target)
-    n = len(atom_vectors)
-    masks = [sum(1 << j for j in range(m) if v[j]) for v in atom_vectors]
-    suffix_cover = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
-    lengths = [sum(v) for v in atom_vectors]
-    out = []
-    rem = list(target)
-    acc = []
-
-    def rec(total, start):
-        if total == 0:
-            out.append(tuple(acc))
-            return limit is not None and len(out) >= limit
-        needed = sum(1 << j for j in range(m) if rem[j])
-        if needed & ~suffix_cover[start]:
-            return False
-        for i in range(start, n):
-            v = atom_vectors[i]
-            if lengths[i] > total:
-                continue
-            if all(v[j] <= rem[j] for j in range(m)):
-                for j in range(m):
-                    rem[j] -= v[j]
-                acc.append(i)
-                stop = rec(total - lengths[i], i)
-                acc.pop()
-                for j in range(m):
-                    rem[j] += v[j]
-                if stop:
-                    return True
-        return False
-
-    rec(sum(target), 0)
-    return out
-
-
 @st.composite
 def factorization_systems(draw):
     """(target, atom vectors): 1-4 coordinates, 1-6 nonzero atom vectors with
@@ -567,9 +531,9 @@ def factorization_systems(draw):
 @given(factorization_systems())
 def test_vector_factorizations_matches_recursive_search(system):
     target, atoms = system
+    full = vector_factorizations(target, atoms)
     for limit in (None, 1, 2):
-        assert (vector_factorizations(target, atoms, limit=limit)
-                == recursive_vector_factorizations(target, atoms, limit))
+        assert recursive_vector_factorizations(target, atoms, limit) == full[:limit]
 
 
 @settings(max_examples=400)
@@ -578,69 +542,6 @@ def test_vector_length_mask_matches_listed_lengths(system):
     target, atoms = system
     mask = vector_length_mask(target, atoms)
     assert mask == sum(1 << k for k in {len(f) for f in vector_factorizations(target, atoms)})
-
-
-def next_index_vector_factorizations(target, atom_vectors, limit=None):
-    """Reference: the former explicit-stack search over atom multiplicities,
-    taking atoms in increasing index order, each with as many copies as fit
-    and then one fewer at a time, the next atom looked up among those whose
-    support lies inside the remainder's."""
-    n = len(atom_vectors)
-    supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
-    masks = [sum(1 << j for j in s) for s in supports]
-    suffix_cover = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
-    fitting = {}
-    out = []
-    rem = list(target)
-    need = sum(1 << j for j, r in enumerate(rem) if r)
-    stack = []
-    start = 0
-    while True:
-        if not need:
-            out.append(tuple(i for i, c in stack for _ in range(c)))
-            if limit is not None and len(out) >= limit:
-                return out
-        elif not need & ~suffix_cover[start]:
-            nxt = fitting.get(need)
-            if nxt is None:
-                nxt = [n] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    nxt[i] = nxt[i + 1] if masks[i] & ~need else i
-                fitting[need] = nxt
-            c = 0
-            i = nxt[start]
-            while i < n and not need & ~suffix_cover[i]:
-                v = atom_vectors[i]
-                c = min(rem[j] // v[j] for j in supports[i])
-                if c:
-                    break
-                i = nxt[i + 1]
-            if c:
-                for j in supports[i]:
-                    rem[j] -= c * v[j]
-                    if not rem[j]:
-                        need &= ~(1 << j)
-                stack.append((i, c))
-                start = i + 1
-                continue
-        while stack:
-            i, c = stack.pop()
-            need |= masks[i]
-            v = atom_vectors[i]
-            if need & ~suffix_cover[i + 1]:
-                for j in supports[i]:
-                    rem[j] += c * v[j]
-                continue
-            for j in supports[i]:
-                rem[j] += v[j]
-            if c > 1:
-                stack.append((i, c - 1))
-            start = i + 1
-            break
-        else:
-            return out
 
 
 @settings(max_examples=400)
@@ -653,7 +554,6 @@ def test_vector_factorizations_matches_next_index_search(system, rng):
         full = vector_factorizations(target, vectors)
         assert full == next_index_vector_factorizations(target, vectors)
         for limit in (1, 2, 3, len(full) + 1):
-            assert vector_factorizations(target, vectors, limit=limit) == full[:limit]
             assert (next_index_vector_factorizations(target, vectors, limit)
                     == full[:limit])
 
@@ -673,7 +573,6 @@ def test_vector_factorizations_matches_next_index_search_on_cyclic(n, target):
     vectors = [a.exponents for a in enumerate_atoms(cs)]
     full = vector_factorizations(target, vectors)
     assert full == next_index_vector_factorizations(target, vectors)
-    assert vector_factorizations(target, vectors, limit=2) == full[:2]
     assert vector_length_mask(target, vectors) == sum(1 << k for k in {len(f) for f in full})
 
 
@@ -682,7 +581,6 @@ def test_vector_factorizations_many_first_class_atoms():
     # limit, so a search with one call frame per such atom could not return
     atoms = [(1, i) for i in range(3000)] + [(0, 2999)]
     assert vector_factorizations((1, 2999), atoms) == [(0, 3000), (2999,)]
-    assert vector_factorizations((1, 2999), atoms, limit=1) == [(0, 3000)]
 
 
 def test_vector_factorizations_budget_bounds_block_listing():
@@ -691,7 +589,6 @@ def test_vector_factorizations_budget_bounds_block_listing():
     atoms = [(1, i) for i in range(3000)] + [(0, 1)]
     with pytest.raises(BudgetExceeded, match="factorization table exceeded 10 nodes"):
         vector_factorizations((2, 2999), atoms, budget=10)
-    assert vector_factorizations((2, 2999), atoms, limit=1) == [(0, 0) + (3000,) * 2999]
 
 
 def test_vector_factorizations_budget_bounds_merged_entries():
@@ -999,47 +896,6 @@ def test_block_listing_finds_large_counts_in_few_subtractions():
     assert vector_factorizations((2 ** 40, 2 ** 40 - 1), [(1, 1)]) == []
     with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
         vector_factorizations((2 ** 40 + 1,), [(2,), (4,)], budget=1000)
-
-
-def test_limit_must_be_at_least_one():
-    cs = ClassSet(C3, (C3.element((1,)),))
-    atoms = enumerate_atoms(cs)
-    for limit in (0, -1):
-        with pytest.raises(ValueError, match="limit must be at least 1"):
-            vector_factorizations((4, 0), [(2, 0), (0, 2)], limit=limit)
-        with pytest.raises(ValueError, match="limit must be at least 1"):
-            factorizations(cs.sequence((3,)), atoms, limit=limit)
-    assert vector_factorizations((4, 0), [(2, 0), (0, 2)], limit=1) == [(0, 0)]
-
-
-def test_first_factorizations_on_long_exhaustive_searches():
-    # targets whose lexicographic search is long, each searched to
-    # exhaustion: none has 50 factorizations, and the first two have none
-    atoms = [(0, 0, 1, 1, 1), (1, 1, 0, 2, 0), (3, 3, 0, 0, 3), (0, 0, 0, 0, 1),
-             (1, 1, 1, 2, 3), (1, 2, 0, 2, 0), (0, 2, 2, 3, 1), (1, 2, 2, 2, 0),
-             (2, 3, 1, 0, 3)]
-    rng = random.Random(11)
-    targets = [(12, 11, 6, 17, 10), (18, 17, 10, 27, 16)]
-    for _ in range(4):
-        counts = [rng.randrange(3) for _ in atoms]
-        targets.append(tuple(sum(c * a[s] for c, a in zip(counts, atoms)) for s in range(5)))
-    for target in targets:
-        first = next_index_vector_factorizations(target, atoms, limit=50)
-        assert vector_factorizations(target, atoms, limit=50) == first
-
-
-def test_vector_factorizations_limit_stops_early():
-    # the first factorizations of a power with many reachable remainders,
-    # within the nodes the multiplicity search of the reference needs
-    # (9 for limit 1 on (8,) * 6, 10 for limit 2 on (10,) * 6)
-    group = FinGenAbelianGroup.cyclic(7)
-    cs = ClassSet(group, tuple(group.element((k,)) for k in range(1, 7)))
-    vectors = [a.exponents for a in enumerate_atoms(cs)]
-    first = vector_factorizations((8,) * 6, vectors, budget=9, limit=1)
-    assert first == next_index_vector_factorizations((8,) * 6, vectors, limit=1)
-    assert len(vector_factorizations((10,) * 6, vectors, budget=10, limit=2)) == 2
-    with pytest.raises(BudgetExceeded, match="factorization search exceeded 8 nodes"):
-        vector_factorizations((8,) * 6, vectors, budget=8, limit=1)
 
 
 def test_vector_factorizations_deep_target():
