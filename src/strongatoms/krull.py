@@ -20,15 +20,17 @@ irreducible; its witness is built from the atom's exponents (see
 
 The kernel criterion is decided as a circuit test: it holds exactly when the
 free parts of the family have a one-dimensional space of rational relations,
-spanned by a vector whose entries are all nonzero and of one sign.  One
-fraction-free elimination (``abgroup.rational_relations``) decides it; no
-search runs, so it takes no node budget.
+spanned by a vector whose entries are all nonzero and of one sign.  Members
+are reduced one at a time against integer echelon rows (``_eliminate``), and
+the existence search extends only independent families on the same rows, so
+it never builds a family larger than free_rank + 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import zip_longest
 from typing import Sequence as Seq
 
 from .abgroup import (
@@ -36,9 +38,8 @@ from .abgroup import (
     INFINITE,
     FinGenAbelianGroup,
     GroupElement,
-    rational_relations,
 )
-from .errors import DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch
 from .zsm import (
     AtomSet,
     ClassSet,
@@ -100,6 +101,29 @@ def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
     return atom_set.atom_within_support(atom_set.index(u)) is None
 
 
+def _eliminate(rows, vector: Seq[int]):
+    """Reduce a free part against the echelon rows of an independent family.
+
+    A row (p, w, c) holds w = sum_i c_i * v_i over the members' free parts
+    v_i, with w[p] != 0 and w zero at the pivots of earlier rows.  The result
+    (p, x, c) has x = sum_i c_i * v_i + c_m * vector zero at every pivot,
+    c_m != 0, entries divided by their gcd, and p the first nonzero position
+    of x: the next row.  p is None when x = 0, and c is then the one relation.
+    """
+    x = list(vector)
+    c = [0] * len(rows) + [1]
+    for p, w, cw in rows:
+        f = x[p]
+        if f:
+            q = w[p]
+            x = [q * a - f * b for a, b in zip(x, w)]
+            c = [q * a - f * b for a, b in zip_longest(c, cw, fillvalue=0)]
+    common = math.gcd(*x, *c)
+    x = [a // common for a in x]
+    c = [a // common for a in c]
+    return next((i for i, a in enumerate(x) if a), None), x, c
+
+
 def is_absirred_kernel(group: FinGenAbelianGroup,
                        family: Seq[GroupElement]) -> bool:
     """Kernel criterion on a family of classes (repeats = distinct divisors).
@@ -109,16 +133,22 @@ def is_absirred_kernel(group: FinGenAbelianGroup,
     agree (a rational relation of the free parts, scaled by its denominators
     and the exponent of the torsion, is an integer relation), and a subfamily
     omitting member i is dependent exactly when some relation vanishes at i.
-    So the criterion is a circuit test: the rational relations form one line,
-    spanned by a vector whose entries are all nonzero and of one sign.
+    So the criterion is a circuit test: all members but the last are
+    independent, and the last reduces to zero with a relation whose entries
+    are all nonzero and of one sign.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    relations = rational_relations(group, family)
-    if len(relations) != 1:
-        return False
-    v = relations[0]
-    return all(x > 0 for x in v) or all(x < 0 for x in v)
+    if not all(group.same_presentation(g.group) for g in family):
+        raise DimensionMismatch("family element from a different group")
+    rows = ()
+    for g in family[:-1]:
+        pivot, x, c = _eliminate(rows, g.free_part)
+        if pivot is None:
+            return False
+        rows += ((pivot, x, c),)
+    pivot, _, c = _eliminate(rows, family[-1].free_part)
+    return pivot is None and (min(c) > 0 or max(c) < 0)
 
 
 @dataclass(frozen=True)
@@ -270,10 +300,12 @@ class AbsirredSearch:
     """Bounded search for an absolutely irreducible nonprime element.
 
     ``witness`` lists class indices with repetition standing for distinct
-    prime divisors of equal class.  ``exhaustive`` is True when the bound
-    covered every family, making a negative answer exact.  ``per_class_cap``
-    records the capped divisor counts actually searched (multiplicities above
-     2 decide nothing further).
+    prime divisors of equal class; it is the first witness by size, then
+    lexicographically.  ``exhaustive`` is True when the bound covered every
+    family (it reaches the sum of the caps), making a negative answer exact.
+    Only independent families are extended, so a bound above free_rank + 1
+    searches no more families.  ``per_class_cap`` records the capped divisor
+    counts actually searched (multiplicities above 2 decide nothing further).
     """
 
     found: bool
@@ -284,30 +316,46 @@ class AbsirredSearch:
     family_semantics: str = "multiset over classes"
 
 
-def exists_absirred_nonprime(spec: KrullSpec, support_bound: int) -> AbsirredSearch:
+def exists_absirred_nonprime(spec: KrullSpec, support_bound: int,
+                             *, budget: int = DEFAULT_NODE_BUDGET) -> AbsirredSearch:
     """Search families of prime divisors for an absolutely irreducible support.
 
     Families are multisets of classes with per-class multiplicity at most the
     (capped) number of divisors in that class; the single divisor of class 0
-    is excluded, since that element is prime.
+    is excluded, since that element is prime.  A depth-first walk adds classes
+    in nondecreasing index order to independent families only (a dependent
+    family's relation vanishes on every added member) and, after a witness of
+    size s, builds only smaller families.  ``budget`` bounds the extensions.
     """
     if support_bound < 1:
         raise ValueError("support_bound must be >= 1")
-    classes = spec.class_set.classes
+    free = [g.free_part for g in spec.class_set.classes]
     caps = spec.capped_mult()
     zero_idx = spec.class_set.zero_class_index()
-    total = sum(caps)
-    exhaustive = support_bound >= total
-    for size in range(1, support_bound + 1):
-        for combo in combinations_with_replacement(range(len(classes)), size):
-            if any(combo.count(i) > caps[i] for i in set(combo)):
-                continue
-            if size == 1 and combo[0] == zero_idx:
-                continue
-            family = [classes[i] for i in combo]
-            if is_absirred_kernel(spec.group, family):
-                return AbsirredSearch(True, combo, exhaustive, support_bound, caps)
-    return AbsirredSearch(False, None, exhaustive, support_bound, caps)
+    exhaustive = support_bound >= sum(caps)
+    witness = None
+    limit = support_bound
+    tried = 0
+    # frames: a family (class indices), its echelon rows, the next class to add
+    stack = [((), (), 0)]
+    while stack:
+        family, rows, j = stack.pop()
+        if j == len(free) or len(family) >= limit:
+            continue
+        stack.append((family, rows, j + 1))
+        if family.count(j) == caps[j]:
+            continue
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded(f"absirred-nonprime search exceeded {budget} families"
+                                 f" at size {len(family) + 1}")
+        child = family + (j,)
+        pivot, x, c = _eliminate(rows, free[j])
+        if pivot is not None:
+            stack.append((child, rows + ((pivot, x, c),), j))
+        elif child != (zero_idx,) and (min(c) > 0 or max(c) < 0):
+            witness, limit = child, len(child) - 1
+    return AbsirredSearch(witness is not None, witness, exhaustive, support_bound, caps)
 
 
 @dataclass(frozen=True)
@@ -388,7 +436,7 @@ def classify_scenario(spec: KrullSpec,
                       bounds: SearchBounds = SearchBounds()) -> ScenarioReport:
     """Fill the scenario row for a specification, with verified witnesses."""
     prime = has_prime_element(spec)
-    search = exists_absirred_nonprime(spec, bounds.support_bound)
+    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
     if search.found:
         absnp: bool | None = True
     elif search.exhaustive:
@@ -412,7 +460,7 @@ def angermueller_check(spec: KrullSpec,
                        bounds: SearchBounds = SearchBounds()) -> bool:
     """Cross-consistency: all absolutely irreducibles found within bounds are
     prime exactly when the spec is factorial (G0 inside the trivial class)."""
-    search = exists_absirred_nonprime(spec, bounds.support_bound)
+    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
     all_absirred_prime = not search.found
     factorial = all(g.is_zero() for g in spec.class_set.classes)
     return all_absirred_prime == factorial

@@ -384,6 +384,13 @@ def test_exit_code_budget_factor(cyclic3, capsys):
     assert main(["atoms", "--spec", cyclic3, "--budget", "10"]) == 0
 
 
+def test_exit_code_budget_classify(signed_basis, capsys):
+    # the absirred-nonprime search runs first; its sixth family has size 3
+    assert main(["classify", "--spec", signed_basis, "--bound", "3", "--budget", "5"]) == 3
+    assert ("absirred-nonprime search exceeded 5 families at size 3"
+            in capsys.readouterr().err)
+
+
 def test_spec_round_trip(signed_basis, capsys):
     spec, labels = load_spec(signed_basis)
     reparsed, labels2 = parse_spec_dict(spec_to_dict(spec, labels))

@@ -12,7 +12,7 @@ from strongatoms.abgroup import (
     positive_kernel_vector,
     rational_relations,
 )
-from strongatoms.errors import AtomNotInSet
+from strongatoms.errors import AtomNotInSet, BudgetExceeded
 from strongatoms.krull import (
     KrullSpec,
     RepeatedClassWitness,
@@ -37,6 +37,10 @@ from strongatoms.zsm import (
     vector_factorizations,
 )
 
+from absirred_search_before_elimination import (
+    exists_absirred_nonprime_before_elimination,
+    is_absirred_kernel_before_elimination,
+)
 from conftest import small_families
 from factorization_search import next_index_vector_factorizations, search_power_absirred
 
@@ -289,6 +293,74 @@ def test_exists_absirred_nonprime():
     cs0 = ClassSet(trivial, (trivial.zero(),))
     search3 = exists_absirred_nonprime(KrullSpec(cs0, (1,)), 3)
     assert not search3.found and search3.exhaustive
+
+
+def torsion_cone_spec():
+    """Z^2 + Z/2 with the zero class and four classes in the positive
+    quadrant, so no family meets the kernel criterion."""
+    group = FinGenAbelianGroup(2, (2,))
+    coords = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 1, 0))
+    cs = ClassSet(group, tuple(group.element(c) for c in coords))
+    return KrullSpec(cs, (INFINITE, 1, 2, INFINITE, 1))
+
+
+@pytest.mark.parametrize("spec, free_rank, families, found", [
+    (signed_basis_spec(2), 2, 12, True),
+    (signed_basis_spec(3), 3, 27, True),
+    (torsion_cone_spec(), 2, 20, False)])
+def test_absirred_search_family_count(spec, free_rank, families, found):
+    # the budget counts the extensions tried; only independent families are
+    # extended, so every bound from free_rank + 1 on tries the same families
+    # and only ``exhaustive`` tells the bounds apart
+    total = sum(spec.capped_mult())
+    assert total > free_rank + 1
+    for bound in (free_rank + 1, total):
+        with pytest.raises(BudgetExceeded, match=f"absirred-nonprime search exceeded "
+                                                 f"{families - 1} families at size"):
+            exists_absirred_nonprime(spec, bound, budget=families - 1)
+        search = exists_absirred_nonprime(spec, bound, budget=families)
+        assert search.found == found
+        assert search.exhaustive == (bound == total)
+
+
+def test_absirred_search_budget_reaches_the_classifier():
+    bounds = SearchBounds(support_bound=3, budget=5)
+    with pytest.raises(BudgetExceeded, match="absirred-nonprime search exceeded 5 "
+                                             "families at size 3"):
+        classify_scenario(signed_basis_spec(2), bounds)
+    with pytest.raises(BudgetExceeded, match="absirred-nonprime"):
+        angermueller_check(signed_basis_spec(2), bounds)
+
+
+@st.composite
+def krull_specs(draw):
+    """(spec, bound): free rank 0-5, a small torsion part, 1-8 distinct
+    classes with multiplicities 1, 2, 3 or INFINITE, bound 1-6."""
+    group = FinGenAbelianGroup(draw(st.integers(0, 5)),
+                               draw(st.sampled_from(((), (2,), (3,), (2, 2), (4,)))))
+    coords = st.tuples(*[st.integers(-2, 2)] * group.free_rank,
+                       *[st.integers(0, d - 1) for d in group.torsion])
+    classes = draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+    mult = draw(st.lists(st.sampled_from((1, 2, 3, INFINITE)),
+                         min_size=len(classes), max_size=len(classes)))
+    cs = ClassSet(group, tuple(group.element(c) for c in classes))
+    return KrullSpec(cs, tuple(mult)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=400)
+@given(krull_specs())
+def test_absirred_search_matches_search_before_elimination(case):
+    spec, bound = case
+    assert (exists_absirred_nonprime(spec, bound)
+            == exists_absirred_nonprime_before_elimination(spec, bound))
+
+
+@settings(max_examples=400)
+@given(small_families(max_members=7, amp=3, torsions=((), (2,), (3,), (2, 2), (4,))))
+def test_is_absirred_kernel_matches_relations_route(case):
+    group, family = case
+    assert (is_absirred_kernel(group, family)
+            == is_absirred_kernel_before_elimination(group, family))
 
 
 def test_classify_scenarios():
