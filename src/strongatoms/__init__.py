@@ -18,7 +18,6 @@ from .abgroup import (
     minimal_nonneg_kernel,
     order,
     positive_kernel_vector,
-    rational_relations,
     smith_normal_form,
 )
 from .krull import (

@@ -4,15 +4,18 @@ Groups are presented as Z^r + Z/d_1 + ... + Z/d_k.  All arithmetic uses
 arbitrary-precision integers throughout; there is no fixed-width fast path,
 because Smith normal form intermediates can grow without bound.
 
-Questions about rational dependence are decided by ``rational_relations``,
-one fraction-free elimination on the free parts of a family: a family is
-Z-independent exactly when its free parts have no rational relation, since a
-rational relation, cleared of denominators and multiplied by the exponent of
-the torsion, kills the torsion part too.  ``positive_kernel_vector`` is
-decided on the same elimination, with the completion search as its fallback
-when the relations span more than a line.  Smith normal form, on plain
-row tuples, remains only behind ``kernel_lattice``, the source of explicit
-Z-bases, and ``_invariant_factors``.
+Questions about rational dependence are decided by one integer elimination
+(``_eliminate``): the free parts of a family are reduced one at a time
+against fraction-free echelon rows, each carrying its coefficients over the
+members.  A family is Z-independent exactly when every member reduces to a
+nonzero remainder, since a rational relation, cleared of denominators and
+multiplied by the exponent of the torsion, kills the torsion part too.
+``one_signed_circuit`` walks independent families on the same rows to the
+first circuit with a one-signed relation; it serves the kernel criterion and
+the existence search of ``krull``, and makes ``positive_kernel_vector``
+exact.  Smith normal form, on plain row tuples, remains only behind
+``kernel_lattice``, the source of explicit Z-bases, and
+``_invariant_factors``.
 
 Congruence conditions coming from torsion components are reduced to pure
 integer kernels by appending one slack column with coefficient -d_j per
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, zip_longest
 from operator import add, ge, mul
 from typing import Iterable, Iterator, Sequence as Seq
 
@@ -350,58 +353,102 @@ def kernel_lattice(group: FinGenAbelianGroup,
     return [tuple(row[j] for row in v[:m]) for j in range(rank, len(cols))]
 
 
-def rational_relations(group: FinGenAbelianGroup,
-                       family: Seq[GroupElement]) -> list[tuple[int, ...]]:
-    """Basis of {x in Q^m : sum_i x_i * g_i has free part 0}, as primitive
-    integer vectors.
-
-    One fraction-free Gauss-Jordan elimination (Bareiss 1968) on the matrix
-    whose columns are the free parts.  Every intermediate entry is a minor of
-    that matrix, so each division by the previous pivot is exact and entries
-    stay polynomially bounded.  At the end each pivot row holds the last
-    pivot d in its own pivot column and 0 in the other pivot columns, so each
-    non-pivot column f gives the relation with d at f and minus row i's entry
-    at row i's pivot column, made primitive with a positive entry at f.
-    """
+def _free_parts(group: FinGenAbelianGroup,
+                family: Seq[GroupElement]) -> list[tuple[int, ...]]:
     for g in family:
         if not group.same_presentation(g.group):
             raise DimensionMismatch("family element from a different group")
-    m = len(family)
-    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(m):
-        k = len(pivots)
-        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if hit is None:
+    return [g.free_part for g in family]
+
+
+def _eliminate(rows, vector: Seq[int]):
+    """Reduce a free part against the echelon rows of an independent family.
+
+    A row (p, w, c) holds w = sum_i c_i * v_i over the members' free parts
+    v_i, with w[p] != 0 and w zero at the pivots of earlier rows.  The result
+    (p, x, c) has x = sum_i c_i * v_i + c_m * vector zero at every pivot,
+    c_m != 0, entries divided by their gcd, and p the first nonzero position
+    of x: the next row.  p is None when x = 0, and c is then the one relation.
+    """
+    x = list(vector)
+    c = [0] * len(rows) + [1]
+    for p, w, cw in rows:
+        f = x[p]
+        if f:
+            q = w[p]
+            x = [q * a - f * b for a, b in zip(x, w)]
+            c = [q * a - f * b for a, b in zip_longest(c, cw, fillvalue=0)]
+    common = math.gcd(*x, *c)
+    x = [a // common for a in x]
+    c = [a // common for a in c]
+    return next((i for i, a in enumerate(x) if a), None), x, c
+
+
+def first_relation(group: FinGenAbelianGroup,
+                   family: Seq[GroupElement]) -> list[int] | None:
+    """Reduce the members' free parts in order; the primitive relation of the
+    first member k that depends on those before it, as coefficients over
+    members 0..k, or None when the free parts are linearly independent."""
+    rows = ()
+    for v in _free_parts(group, family):
+        pivot, x, c = _eliminate(rows, v)
+        if pivot is None:
+            return c
+        rows += ((pivot, x, c),)
+    return None
+
+
+def one_signed_circuit(vectors: Seq[Seq[int]], caps: Seq[int], size_bound: int,
+                       *, skip: int | None = None, budget: int,
+                       layer: str) -> tuple[tuple[int, ...], list[int]] | None:
+    """The first multiset of indices, by size and then lexicographically,
+    whose vectors form a circuit with a one-signed relation: (indices,
+    relation), or None.
+
+    Index j occurs at most caps[j] times, a family has at most ``size_bound``
+    members, and the singleton (skip,) does not count.  A depth-first walk
+    adds indices in nondecreasing order to independent families only, each
+    carrying its echelon rows, so one ``_eliminate`` pass per extension: a
+    dependent family's one relation vanishes on every member added later, so
+    no superset is a circuit, and every circuit is reached through its
+    independent prefixes.  After a circuit of size s only smaller families
+    are built.  ``budget`` bounds the extensions tried; past it,
+    BudgetExceeded names ``layer`` and the size reached.
+    """
+    found = None
+    limit = size_bound
+    tried = 0
+    # frames: a family (indices), its echelon rows, the next index to add
+    stack = [((), (), 0)]
+    while stack:
+        family, rows, j = stack.pop()
+        if j == len(vectors) or len(family) >= limit:
             continue
-        rows[k], rows[hit] = rows[hit], rows[k]
-        top = rows[k]
-        p = top[c]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[c]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(c)
-        prev = p
-    sign = 1 if prev > 0 else -1
-    relations = []
-    for f in range(m):
-        if f in pivots:
+        stack.append((family, rows, j + 1))
+        if family.count(j) == caps[j]:
             continue
-        vec = [0] * m
-        vec[f] = sign * prev
-        for row, c in zip(rows, pivots):
-            vec[c] = -sign * row[f]
-        common = math.gcd(*vec)
-        relations.append(tuple(x // common for x in vec))
-    return relations
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded(f"{layer} search exceeded {budget} families"
+                                 f" at size {len(family) + 1}")
+        child = family + (j,)
+        pivot, x, c = _eliminate(rows, vectors[j])
+        if pivot is not None:
+            stack.append((child, rows + ((pivot, x, c),), j))
+        elif child != (skip,) and (min(c) > 0 or max(c) < 0):
+            found, limit = (child, c), len(child) - 1
+    return found
 
 
 def is_z_independent(group: FinGenAbelianGroup,
                      family: Seq[GroupElement]) -> bool:
-    """True iff the family has no nonzero integer relation; empty families qualify."""
-    return not rational_relations(group, family)
+    """True iff the family has no nonzero integer relation; empty families qualify.
+
+    Integer and rational independence agree: a rational relation of the free
+    parts, cleared of denominators and multiplied by the exponent of the
+    torsion, kills the torsion part too.
+    """
+    return first_relation(group, family) is None
 
 
 def positive_kernel_vector(group: FinGenAbelianGroup,
@@ -409,28 +456,26 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
                            *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...] | None:
     """Some nonzero alpha >= 0 with sum_i alpha_i * g_i = 0, or None.
 
-    Decided on ``rational_relations``.  Without a relation the family is
-    Z-independent.  With one, v (primitive), the integer relations are the
-    multiples of order(sum_i v_i * g_i) * v, so there is a nonnegative one
-    exactly when v has no entries of opposite sign.  Two or more relations
-    fall back to the completion search for a minimal solution.
+    Exact by circuits: a nonzero nonnegative relation of the free parts is a
+    conformal sum of relations with minimal support (Rockafellar, "The
+    elementary vectors of a subspace of R^N", 1969), so one exists exactly
+    when some circuit of the family has a one-signed relation.  The first
+    such circuit found by ``one_signed_circuit`` (one copy of each member)
+    gives its relation made nonnegative, zero off the circuit, times the
+    order of its torsion sum.  ``budget`` counts the extensions tried.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    relations = rational_relations(group, family)
-    if not relations:
-        return None
-    if len(relations) == 1:
-        v = relations[0]
-        if any(x > 0 for x in v) and any(x < 0 for x in v):
-            return None
-        w = tuple(abs(x) for x in v)
-        k = order(group, sum((x * g for x, g in zip(w, family)), group.zero()))
-        return tuple(k * x for x in w)
     m = len(family)
-    cols = zero_sum_columns(group, family)
-    sols = minimal_nonneg_kernel(cols, budget=budget, limit=1)
-    return sols[0][:m] if sols else None
+    found = one_signed_circuit(_free_parts(group, family), (1,) * m, m,
+                               budget=budget, layer="nonnegative-relation")
+    if found is None:
+        return None
+    vec = [0] * m
+    for i, x in zip(*found):
+        vec[i] = abs(x)
+    k = order(group, sum((x * g for x, g in zip(vec, family)), group.zero()))
+    return tuple(k * x for x in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +483,7 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
 
 
 def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
-                          *, budget: int = DEFAULT_NODE_BUDGET,
-                          limit: int | None = None) -> list[tuple[int, ...]]:
+                          *, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
     """All minimal nonzero x in N^m with sum_i x_i * columns[i] = 0.
 
     Contejean-Devie completion with frozen coordinates (Inf. Comput. 113,
@@ -483,9 +527,8 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
     outside u's frozen set whose entry in row r has the opposite sign: every
     descendant adds only such columns, so row r never reaches 0 and no
     solution lies below u.  Freezing for later siblings does not depend on
-    whether a child is kept, so the solutions, their order and every
-    ``limit`` prefix are those of the tree without dropping, which inserts
-    a superset of the nodes.  On the signed bases {+-e_i, +-f} in Z^n this
+    whether a child is kept, so the solutions and their order are those of
+    the tree without dropping, which inserts a superset of the nodes.  On the signed bases {+-e_i, +-f} in Z^n this
     takes the insertions from 2^(n+1) + n - 1 to 5n - 1.  A*u is not
     stored: (A*u)_r is computed only for a row r with all its positive or
     all its negative columns frozen, the only rows that can drop u.
@@ -502,11 +545,8 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
     tries at most m children, each try costing at most one bucket scan, k
     mask tests for A with k rows and one row of m multiplications per row
     that can drop the child, and, when the child is inserted, one row of m
-    additions.  A ``limit`` of at least 1 returns the first ``limit``
-    minimal solutions in search order.
+    additions.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
     m = len(columns)
     gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
             for ci in columns]
@@ -527,8 +567,6 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
         for t, _, norm, mask, _ in frontier:
             if norm == 0:
                 sols.append(t)
-                if limit is not None and len(sols) >= limit:
-                    return sols
                 for j, x in enumerate(t):
                     if x:
                         buckets[j].setdefault(x, []).append((mask, t))

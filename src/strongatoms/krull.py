@@ -20,17 +20,17 @@ irreducible; its witness is built from the atom's exponents (see
 
 The kernel criterion is decided as a circuit test: it holds exactly when the
 free parts of the family have a one-dimensional space of rational relations,
-spanned by a vector whose entries are all nonzero and of one sign.  Members
-are reduced one at a time against integer echelon rows (``_eliminate``), and
-the existence search extends only independent families on the same rows, so
-it never builds a family larger than free_rank + 1.
+spanned by a vector whose entries are all nonzero and of one sign.  Both it
+and the existence search run on the package's one integer elimination in
+``abgroup``: members are reduced one at a time against integer echelon rows
+(``first_relation``), and the search (``one_signed_circuit``) extends only
+independent families on the same rows, so it never builds a family larger
+than free_rank + 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Sequence as Seq
 
 from .abgroup import (
@@ -38,8 +38,10 @@ from .abgroup import (
     INFINITE,
     FinGenAbelianGroup,
     GroupElement,
+    first_relation,
+    one_signed_circuit,
 )
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import DimensionMismatch
 from .zsm import (
     AtomSet,
     ClassSet,
@@ -101,29 +103,6 @@ def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
     return atom_set.atom_within_support(atom_set.index(u)) is None
 
 
-def _eliminate(rows, vector: Seq[int]):
-    """Reduce a free part against the echelon rows of an independent family.
-
-    A row (p, w, c) holds w = sum_i c_i * v_i over the members' free parts
-    v_i, with w[p] != 0 and w zero at the pivots of earlier rows.  The result
-    (p, x, c) has x = sum_i c_i * v_i + c_m * vector zero at every pivot,
-    c_m != 0, entries divided by their gcd, and p the first nonzero position
-    of x: the next row.  p is None when x = 0, and c is then the one relation.
-    """
-    x = list(vector)
-    c = [0] * len(rows) + [1]
-    for p, w, cw in rows:
-        f = x[p]
-        if f:
-            q = w[p]
-            x = [q * a - f * b for a, b in zip(x, w)]
-            c = [q * a - f * b for a, b in zip_longest(c, cw, fillvalue=0)]
-    common = math.gcd(*x, *c)
-    x = [a // common for a in x]
-    c = [a // common for a in c]
-    return next((i for i, a in enumerate(x) if a), None), x, c
-
-
 def is_absirred_kernel(group: FinGenAbelianGroup,
                        family: Seq[GroupElement]) -> bool:
     """Kernel criterion on a family of classes (repeats = distinct divisors).
@@ -139,16 +118,8 @@ def is_absirred_kernel(group: FinGenAbelianGroup,
     """
     if not family:
         raise ValueError("family must be nonempty")
-    if not all(group.same_presentation(g.group) for g in family):
-        raise DimensionMismatch("family element from a different group")
-    rows = ()
-    for g in family[:-1]:
-        pivot, x, c = _eliminate(rows, g.free_part)
-        if pivot is None:
-            return False
-        rows += ((pivot, x, c),)
-    pivot, _, c = _eliminate(rows, family[-1].free_part)
-    return pivot is None and (min(c) > 0 or max(c) < 0)
+    c = first_relation(group, family)
+    return c is not None and len(c) == len(family) and (min(c) > 0 or max(c) < 0)
 
 
 @dataclass(frozen=True)
@@ -322,39 +293,20 @@ def exists_absirred_nonprime(spec: KrullSpec, support_bound: int,
 
     Families are multisets of classes with per-class multiplicity at most the
     (capped) number of divisors in that class; the single divisor of class 0
-    is excluded, since that element is prime.  A depth-first walk adds classes
-    in nondecreasing index order to independent families only (a dependent
-    family's relation vanishes on every added member) and, after a witness of
-    size s, builds only smaller families.  ``budget`` bounds the extensions.
+    is excluded, since that element is prime.  The walk is
+    ``abgroup.one_signed_circuit``: it adds classes in nondecreasing index
+    order to independent families only (a dependent family's relation
+    vanishes on every added member) and, after a witness of size s, builds
+    only smaller families.  ``budget`` bounds the extensions.
     """
     if support_bound < 1:
         raise ValueError("support_bound must be >= 1")
-    free = [g.free_part for g in spec.class_set.classes]
     caps = spec.capped_mult()
-    zero_idx = spec.class_set.zero_class_index()
+    found = one_signed_circuit([g.free_part for g in spec.class_set.classes], caps,
+                               support_bound, skip=spec.class_set.zero_class_index(),
+                               budget=budget, layer="absirred-nonprime")
+    witness = found[0] if found else None
     exhaustive = support_bound >= sum(caps)
-    witness = None
-    limit = support_bound
-    tried = 0
-    # frames: a family (class indices), its echelon rows, the next class to add
-    stack = [((), (), 0)]
-    while stack:
-        family, rows, j = stack.pop()
-        if j == len(free) or len(family) >= limit:
-            continue
-        stack.append((family, rows, j + 1))
-        if family.count(j) == caps[j]:
-            continue
-        tried += 1
-        if tried > budget:
-            raise BudgetExceeded(f"absirred-nonprime search exceeded {budget} families"
-                                 f" at size {len(family) + 1}")
-        child = family + (j,)
-        pivot, x, c = _eliminate(rows, free[j])
-        if pivot is not None:
-            stack.append((child, rows + ((pivot, x, c),), j))
-        elif child != (zero_idx,) and (min(c) > 0 or max(c) < 0):
-            witness, limit = child, len(child) - 1
     return AbsirredSearch(witness is not None, witness, exhaustive, support_bound, caps)
 
 

@@ -33,6 +33,8 @@ class NumericalMonoid:
                 raise ValueError("generators must be positive")
             if math.gcd(*self.data) != 1:
                 raise ValueError("generators must have gcd 1")
+            # nm_atoms and nm_factorizations read the generators ascending, once each
+            object.__setattr__(self, "data", tuple(sorted(set(self.data))))
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -42,7 +44,7 @@ class NumericalMonoid:
 
     @classmethod
     def generated(cls, *gens: int) -> "NumericalMonoid":
-        return cls("generated", tuple(sorted({int(g) for g in gens})))
+        return cls("generated", tuple(int(g) for g in gens))
 
     def contains(self, x: int) -> bool:
         if x < 0:

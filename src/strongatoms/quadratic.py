@@ -251,10 +251,12 @@ def quad_brute_absirred(ring: QuadRing, z: QuadInt, n_max: int,
     One sieve lists the irreducible divisors of z**n_max; those of z and of
     each z**n are its entries that divide them.  `budget` is per power.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     nz = ring.norm(z)
     if nz <= 1:
         raise ZeroOrUnit("irreducibility is about nonzero nonunits")
-    sieve = _irreducible_divisors(ring, ring.power(z, max(n_max, 1)))
+    sieve = _irreducible_divisors(ring, ring.power(z, n_max))
     if any(ring.norm(w) < nz and quad_divides(ring, w, z) for w in sieve):
         raise ZeroOrUnit("absolute irreducibility is about irreducible elements")
     zc = canonical_associate(z)

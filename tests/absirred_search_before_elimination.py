@@ -1,6 +1,8 @@
 """The absolutely-irreducible-nonprime search and the kernel criterion as they
 were before the search extended only independent families, kept verbatim
 (only renamed) so that tests can compare the elimination walk with them.
+``rational_relations``, which they call, is kept in
+``rational_relations_before``.
 """
 
 from __future__ import annotations
@@ -8,8 +10,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Sequence as Seq
 
-from strongatoms.abgroup import FinGenAbelianGroup, GroupElement, rational_relations
+from strongatoms.abgroup import FinGenAbelianGroup, GroupElement
 from strongatoms.krull import AbsirredSearch, KrullSpec
+
+from rational_relations_before import rational_relations
 
 
 def is_absirred_kernel_before_elimination(group: FinGenAbelianGroup,

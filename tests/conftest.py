@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's own code paths: determinants are
 cofactor expansions, linear solving and ranks are rational Gaussian
-elimination, and kernel searches are bounded brute force.  The hypothesis
+elimination, kernel searches are bounded brute force, and the existence of
+a nonnegative relation is decided by vertex enumeration.  The hypothesis
 strategy at the end only builds inputs with the library's group classes.
 The suite's hypothesis profile is registered and loaded here.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -97,6 +98,23 @@ def rational_rank(rows):
             mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def nonneg_relation_exists(vectors):
+    """A nonzero x >= 0 with sum_i x_i * vectors[i] = 0 exists over Q.
+
+    Such an x, scaled, lies in the polytope {x >= 0 : sum_i x_i = 1,
+    sum_i x_i * vectors[i] = 0}, which is nonempty exactly when it has a
+    vertex: a solution supported on linearly independent columns.  So every
+    subfamily of the augmented columns (vector, 1) is tried, by rational
+    Gaussian elimination, for a nonnegative solution.
+    """
+    cols = [tuple(v) + (1,) for v in vectors]
+    target = (0,) * (len(cols[0]) - 1) + (1,)
+    return any(
+        (sol := solve_rational([cols[i] for i in subset], target)) is not None
+        and all(x >= 0 for x in sol)
+        for k in range(1, len(cols) + 1) for subset in combinations(range(len(cols)), k))
 
 
 def in_lattice(basis, vector):

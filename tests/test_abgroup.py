@@ -14,7 +14,6 @@ from strongatoms.abgroup import (
     minimal_nonneg_kernel,
     order,
     positive_kernel_vector,
-    rational_relations,
     smith_normal_form,
     zero_sum_columns,
 )
@@ -28,8 +27,13 @@ from conftest import (
     group_combination,
     in_lattice,
     matmul,
+    nonneg_relation_exists,
     rational_rank,
     small_families,
+)
+from rational_relations_before import (
+    positive_kernel_vector_before_circuits,
+    rational_relations,
 )
 
 Z2 = FinGenAbelianGroup.free(2)
@@ -233,6 +237,8 @@ def test_is_z_independent_examples():
     g = z.element((1,))
     assert not is_z_independent(z, [3 * g, -g, -2 * g])
     assert is_z_independent(Z2, [])
+    with pytest.raises(DimensionMismatch):
+        is_z_independent(Z2, [C3.element((1,))])
 
 
 def test_is_z_independent_matches_brute_force_small_exponent():
@@ -279,6 +285,17 @@ def test_is_z_independent_matches_kernel_lattice(case):
     assert is_z_independent(group, family) == (not kernel_lattice(group, family))
 
 
+@settings(max_examples=300)
+@given(small_families(max_members=6, amp=50, torsions=((), (2,), (6,), (2, 2))))
+def test_is_z_independent_matches_bareiss_and_rational_rank(case):
+    # the Bareiss elimination it replaces, and the rank of the free parts
+    group, family = case
+    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
+    independent = is_z_independent(group, family)
+    assert independent == (not rational_relations(group, family))
+    assert independent == (rational_rank(rows) == len(family))
+
+
 def test_rational_relations_examples():
     assert rational_relations(Z2, []) == []
     assert rational_relations(Z2, [e(0), e(1)]) == []
@@ -314,6 +331,22 @@ def test_positive_kernel_vector_examples():
     assert positive_kernel_vector(Z2, [e1, e2]) is None
     f = e1 + e2
     assert positive_kernel_vector(Z2, [e1, e2, -f]) == (1, 1, 1)
+    # two rational relations: the first one-signed circuit in walk order, (0, 1, 2)
+    assert positive_kernel_vector(Z2, [e1, e2, -e1 - 2 * e2, -2 * e1 - e2]) == (1, 2, 1, 0)
+    c4 = FinGenAbelianGroup(1, (4,))
+    assert positive_kernel_vector(c4, [c4.element((1, 1)), c4.element((-1, 0))]) == (4, 4)
+    with pytest.raises(DimensionMismatch):
+        positive_kernel_vector(Z2, [C3.element((1,))])
+
+
+def test_positive_kernel_vector_budget_counts_extensions():
+    # the walk tries (0), (0,1), (0,1,2) (a circuit), (0,2), (1), (1,2), (2)
+    e1, e2 = e(0), e(1)
+    family = [e1, e2, -e1 - e2]
+    assert positive_kernel_vector(Z2, family, budget=7) == (1, 1, 1)
+    with pytest.raises(BudgetExceeded) as info:
+        positive_kernel_vector(Z2, family, budget=6)
+    assert str(info.value) == "nonnegative-relation search exceeded 6 families at size 1"
 
 
 def test_positive_kernel_vector_matches_brute_force_small_exponent():
@@ -353,7 +386,7 @@ def test_positive_kernel_vector_two_sided():
 
 def positive_kernel_vector_by_lattice(group, family):
     """The Smith-normal-form route: sign test on a rank-one kernel lattice,
-    else the completion search."""
+    else the first solution of the completion search."""
     basis = kernel_lattice(group, family)
     if not basis:
         return None
@@ -364,7 +397,7 @@ def positive_kernel_vector_by_lattice(group, family):
         if all(x <= 0 for x in b):
             return tuple(-x for x in b)
         return None
-    sols = minimal_nonneg_kernel(zero_sum_columns(group, family), limit=1)
+    sols = minimal_nonneg_kernel(zero_sum_columns(group, family))
     return sols[0][:len(family)] if sols else None
 
 
@@ -381,9 +414,83 @@ def test_positive_kernel_vector_mixed_sign_line():
 @settings(max_examples=300)
 @given(small_families())
 def test_positive_kernel_vector_matches_kernel_lattice_route(case):
+    # the same vector as both former routes with at most one relation; with
+    # more, the circuit found first need not carry the completion search's
+    # first solution
     group, family = case
-    assert positive_kernel_vector(group, family) == \
-        positive_kernel_vector_by_lattice(group, family)
+    vec = positive_kernel_vector(group, family)
+    want = positive_kernel_vector_by_lattice(group, family)
+    if len(kernel_lattice(group, family)) <= 1:
+        assert vec == want == positive_kernel_vector_before_circuits(group, family)
+    else:
+        assert (vec is None) == (want is None)
+        if vec is not None:
+            assert any(vec) and all(x >= 0 for x in vec)
+            assert group_combination(family, vec).is_zero()
+
+
+def _check_positive_kernel_vector(group, family, vec):
+    """vec is None exactly when vertex enumeration finds no nonnegative
+    relation of the free parts, and otherwise a nonzero nonnegative group
+    relation."""
+    assert (vec is not None) == nonneg_relation_exists([g.free_part for g in family])
+    if vec is not None:
+        assert len(vec) == len(family) and any(vec) and all(x >= 0 for x in vec)
+        assert group_combination(family, vec).is_zero()
+
+
+@settings(max_examples=300)
+@given(small_families(max_members=6, amp=4,
+                      torsions=((), (2,), (3,), (2, 4), (6,), (5,), (2, 2))))
+def test_positive_kernel_vector_matches_vertex_enumeration(case):
+    group, family = case
+    _check_positive_kernel_vector(group, family, positive_kernel_vector(group, family))
+
+
+def generated_families():
+    """3,864 families from 4,000 draws: torsion none, (2), (3), (2, 4), (6),
+    (5) or (2, 2), free rank 0-3 (the draws over the trivial group skipped),
+    1-5 members, each free coordinate 0 with probability 0.2 and otherwise
+    +-1..4, each torsion residue nonzero."""
+    rng = random.Random(4000)
+    for _ in range(4000):
+        torsion = rng.choice(((), (2,), (3,), (2, 4), (6,), (5,), (2, 2)))
+        group = FinGenAbelianGroup(rng.randint(0, 3), torsion)
+        if group.free_rank == 0 and not torsion:
+            continue
+        family = []
+        for _ in range(rng.randint(1, 5)):
+            free = [0 if rng.random() < 0.2 else rng.choice((-1, 1)) * rng.randint(1, 4)
+                    for _ in range(group.free_rank)]
+            family.append(group.element(free + [rng.randint(1, d - 1) for d in torsion]))
+        yield group, family
+
+
+# draws on which the former route (the Bareiss relations, then the pruned
+# completion search with limit=1) exceeded budget 20,000, with whether a
+# nonnegative relation exists; that search at budget 10^6 agrees.  The copy in
+# rational_relations_before, on the search before pruning, stops at 20,000 on
+# these and four more, which the loop below then skips.
+FORMER_BUDGET_FAILURES = {340: False, 516: True, 1802: False, 2726: False,
+                          2910: True, 2915: True}
+
+
+def test_positive_kernel_vector_on_generated_families_needs_no_budget():
+    families = list(generated_families())
+    assert len(families) == 3864
+    for i, (group, family) in enumerate(families):
+        vec = positive_kernel_vector(group, family, budget=30)  # 30 is the most tried here
+        if i in FORMER_BUDGET_FAILURES:
+            assert (vec is not None) == FORMER_BUDGET_FAILURES[i]
+        if len(rational_relations(group, family)) <= 1:
+            assert vec == positive_kernel_vector_before_circuits(group, family)
+            continue
+        _check_positive_kernel_vector(group, family, vec)
+        try:
+            before = positive_kernel_vector_before_circuits(group, family, budget=20_000)
+        except BudgetExceeded:
+            continue
+        assert (vec is None) == (before is None)
 
 
 def test_minimal_nonneg_kernel_simple_systems():
@@ -394,14 +501,6 @@ def test_minimal_nonneg_kernel_simple_systems():
     assert sols == [(0, 3, 2), (1, 1, 1), (3, 0, 1)]
     # independent columns: nothing
     assert minimal_nonneg_kernel([(1, 0), (0, 1)]) == []
-
-
-def test_minimal_nonneg_kernel_limit_must_be_at_least_one():
-    cols = [(1,), (-1,), (2,), (-2,)]
-    for limit in (0, -1):
-        with pytest.raises(ValueError, match="limit must be at least 1"):
-            minimal_nonneg_kernel(cols, limit=limit)
-    assert len(minimal_nonneg_kernel(cols, limit=1)) == 1
 
 
 def test_minimal_nonneg_kernel_minimality_and_completeness():
@@ -441,8 +540,7 @@ def test_minimal_nonneg_kernel_matches_box_minimal_solutions():
         assert sorted(sols) == sorted(box_minimal)
 
 
-def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False,
-                                     prune=False):
+def linear_scan_minimal_nonneg_kernel(columns, budget, freeze=False, prune=False):
     """The completion search testing every frontier node and every child
     against every solution found so far, with A*t kept explicitly.  Returns
     the solutions and the number of frontier insertions.
@@ -484,8 +582,6 @@ def linear_scan_minimal_nonneg_kernel(columns, budget, limit=None, freeze=False,
         for t, (v, _, _) in frontier.items():
             if v == zero and not dominates_some_solution(t):
                 sols.append(t)
-                if limit is not None and len(sols) >= limit:
-                    return sols, nodes
         nxt = {}
         for t, (v, frozen, blocked) in frontier.items():
             if v == zero or dominates_some_solution(t):
@@ -561,12 +657,9 @@ def test_minimal_nonneg_kernel_matches_linear_scan(cols):
     if n:
         with pytest.raises(BudgetExceeded):
             minimal_nonneg_kernel(cols, budget=n - 1)
-    for limit in (1, 2):
-        want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, limit)
-        assert minimal_nonneg_kernel(cols, limit=limit) == want
 
 
-def indexed_minimal_nonneg_kernel(columns, limit=None):
+def indexed_minimal_nonneg_kernel(columns):
     """The completion search without frozen coordinates: a frontier dict that
     drops a child already reached from an earlier parent, with the bucket
     index for the domination test and inner products from the Gram matrix."""
@@ -583,8 +676,6 @@ def indexed_minimal_nonneg_kernel(columns, limit=None):
         for t, (_, norm, mask) in frontier.items():
             if norm == 0:
                 sols.append(t)
-                if limit is not None and len(sols) >= limit:
-                    return sols
                 for j, x in enumerate(t):
                     if x:
                         buckets[j].setdefault(x, []).append((mask, t))
@@ -635,9 +726,6 @@ def _larger_systems():
                          ids=[name for name, _ in _larger_systems()])
 def test_minimal_nonneg_kernel_matches_indexed_search_on_larger_systems(name, cols):
     assert minimal_nonneg_kernel(cols) == indexed_minimal_nonneg_kernel(cols)
-    for limit in (1, 2):
-        assert (minimal_nonneg_kernel(cols, limit=limit)
-                == indexed_minimal_nonneg_kernel(cols, limit=limit))
 
 
 def _least_budget(search, cols, cap):
@@ -670,9 +758,6 @@ def test_minimal_nonneg_kernel_matches_search_before_pruning(case):
         return
     assert (minimal_nonneg_kernel(cols, budget=before)
             == minimal_nonneg_kernel_before_pruning(cols))
-    for limit in (1, 2):
-        assert (minimal_nonneg_kernel(cols, limit=limit)
-                == minimal_nonneg_kernel_before_pruning(cols, limit=limit))
 
 
 @pytest.mark.parametrize("n", range(3, 17))

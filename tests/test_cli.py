@@ -359,6 +359,17 @@ def test_exit_code_internal_error(cyclic3, capsys, monkeypatch, exc, machine):
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--bound", "0"], "support_bound must be >= 1"),
+    (["absirred", "--nmax", "0"], "n_max must be >= 1"),
+    (["factor", "--sequence", "1,-1"], "exponents must be nonnegative"),
+])
+def test_exit_code_library_value_errors(cyclic3, capsys, argv, message):
+    # input errors that the library, not the parsers, reports as ValueError
+    assert main(argv[:1] + ["--spec", cyclic3] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_exit_code_non_zero_sum(cyclic3, capsys):
     assert main(["factor", "--spec", cyclic3, "--sequence", "g"]) == 2
 

@@ -10,7 +10,6 @@ from strongatoms.abgroup import (
     abelian_groups_of_order,
     kernel_lattice,
     positive_kernel_vector,
-    rational_relations,
 )
 from strongatoms.errors import AtomNotInSet, BudgetExceeded
 from strongatoms.krull import (
@@ -43,6 +42,7 @@ from absirred_search_before_elimination import (
 )
 from conftest import small_families
 from factorization_search import next_index_vector_factorizations, search_power_absirred
+from rational_relations_before import rational_relations
 
 C2 = FinGenAbelianGroup.cyclic(2)
 C3 = FinGenAbelianGroup.cyclic(3)

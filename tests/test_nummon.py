@@ -155,6 +155,17 @@ def test_generated_factorization_counts_match_dp():
                 assert len(nm_factorizations(m, x)) == count_representations(atoms, x)
 
 
+def test_generated_data_sorted_without_repeats():
+    # the constructor, not only NumericalMonoid.generated, normalizes the generators
+    assert NumericalMonoid("generated", (3, 2)) == NumericalMonoid.generated(2, 3)
+    assert NumericalMonoid("generated", (3, 2)).data == (2, 3)
+    assert nm_factorizations(NumericalMonoid("generated", (3, 2)), 2) == [(2,)]
+    repeated = NumericalMonoid("generated", (2, 2, 3))
+    assert repeated.data == (2, 3)
+    assert nm_atoms(repeated) == (2, 3)
+    assert nm_factorizations(repeated, 6) == [(2, 2, 2), (3, 3)]
+
+
 def test_generated_factorizations_sum_back():
     m = NumericalMonoid.generated(4, 6, 9)
     for x in (13, 18, 24, 31):

@@ -137,6 +137,10 @@ def test_brute_absirred():
     assert res11.absolutely_irreducible
     with pytest.raises(ZeroOrUnit):
         quad_brute_absirred(R14, R14.element(4), 2)
+    # no power checked is no evidence: the witness above lives at n = 2
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            quad_brute_absirred(R14, root, n_max)
 
 
 def test_factorizations_remultiply():
