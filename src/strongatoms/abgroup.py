@@ -12,8 +12,10 @@ nonzero remainder, since a rational relation, cleared of denominators and
 multiplied by the exponent of the torsion, kills the torsion part too.
 ``one_signed_circuit`` walks independent families on the same rows to the
 first circuit with a one-signed relation; it serves the kernel criterion and
-the existence search of ``krull``, and makes ``positive_kernel_vector``
-exact.  Smith normal form, on plain row tuples, remains only behind
+the existence search of ``krull``.  ``positive_kernel_vector`` is exact by
+circuits: one pass gives a circuit per dependent member, and the walk runs
+only when two or more of them, none one-signed, leave the answer open.
+Smith normal form, on plain row tuples, remains only behind
 ``kernel_lattice``, the source of explicit Z-bases, and
 ``_invariant_factors``.
 
@@ -384,18 +386,28 @@ def _eliminate(rows, vector: Seq[int]):
     return next((i for i, a in enumerate(x) if a), None), x, c
 
 
+def _fundamental_circuits(vectors: Seq[Seq[int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """Reduce the vectors in order, each against the echelon rows of the
+    independent ones before it; for each vector k that reduces to zero, yield
+    (indices, relation): its primitive relation over those independent
+    vectors and k, which is nonzero at k and supported on a circuit.  These
+    relations are a basis of the rational relations."""
+    rows, basis = (), []
+    for k, v in enumerate(vectors):
+        pivot, x, c = _eliminate(rows, v)
+        if pivot is None:
+            yield basis + [k], c
+        else:
+            rows += ((pivot, x, c),)
+            basis.append(k)
+
+
 def first_relation(group: FinGenAbelianGroup,
                    family: Seq[GroupElement]) -> list[int] | None:
     """Reduce the members' free parts in order; the primitive relation of the
     first member k that depends on those before it, as coefficients over
     members 0..k, or None when the free parts are linearly independent."""
-    rows = ()
-    for v in _free_parts(group, family):
-        pivot, x, c = _eliminate(rows, v)
-        if pivot is None:
-            return c
-        rows += ((pivot, x, c),)
-    return None
+    return next((c for _, c in _fundamental_circuits(_free_parts(group, family))), None)
 
 
 def one_signed_circuit(vectors: Seq[Seq[int]], caps: Seq[int], size_bound: int,
@@ -459,19 +471,31 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
     Exact by circuits: a nonzero nonnegative relation of the free parts is a
     conformal sum of relations with minimal support (Rockafellar, "The
     elementary vectors of a subspace of R^N", 1969), so one exists exactly
-    when some circuit of the family has a one-signed relation.  The first
-    such circuit found by ``one_signed_circuit`` (one copy of each member)
-    gives its relation made nonnegative, zero off the circuit, times the
-    order of its torsion sum.  ``budget`` counts the extensions tried.
+    when some circuit of the family has a one-signed relation.  One pass of
+    the elimination gives the fundamental circuits, one per dependent
+    member, whose relations span all relations.  The first one-signed one is
+    the answer; with none, and fewer than two, there is none.  Only with two
+    or more relations, none one-signed, does ``one_signed_circuit`` (one
+    copy of each member) walk the members in their support; ``budget``
+    counts the extensions it tries.  The answer is the circuit's relation
+    made nonnegative, zero off the circuit, times the order of its torsion
+    sum.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    m = len(family)
-    found = one_signed_circuit(_free_parts(group, family), (1,) * m, m,
-                               budget=budget, layer="nonnegative-relation")
+    vectors = _free_parts(group, family)
+    circuits = list(_fundamental_circuits(vectors))
+    found = next(((s, c) for s, c in circuits if not min(c) < 0 < max(c)), None)
+    if found is None and len(circuits) > 1:
+        support = sorted({i for s, c in circuits for i, x in zip(s, c) if x})
+        walk = one_signed_circuit([vectors[i] for i in support], (1,) * len(support),
+                                  len(support), budget=budget,
+                                  layer="nonnegative-relation")
+        if walk is not None:
+            found = [support[i] for i in walk[0]], walk[1]
     if found is None:
         return None
-    vec = [0] * m
+    vec = [0] * len(family)
     for i, x in zip(*found):
         vec[i] = abs(x)
     k = order(group, sum((x * g for x, g in zip(vec, family)), group.zero()))

@@ -331,7 +331,7 @@ def test_positive_kernel_vector_examples():
     assert positive_kernel_vector(Z2, [e1, e2]) is None
     f = e1 + e2
     assert positive_kernel_vector(Z2, [e1, e2, -f]) == (1, 1, 1)
-    # two rational relations: the first one-signed circuit in walk order, (0, 1, 2)
+    # two rational relations: the first one-signed fundamental circuit, (0, 1, 2)
     assert positive_kernel_vector(Z2, [e1, e2, -e1 - 2 * e2, -2 * e1 - e2]) == (1, 2, 1, 0)
     c4 = FinGenAbelianGroup(1, (4,))
     assert positive_kernel_vector(c4, [c4.element((1, 1)), c4.element((-1, 0))]) == (4, 4)
@@ -340,13 +340,37 @@ def test_positive_kernel_vector_examples():
 
 
 def test_positive_kernel_vector_budget_counts_extensions():
-    # the walk tries (0), (0,1), (0,1,2) (a circuit), (0,2), (1), (1,2), (2)
-    e1, e2 = e(0), e(1)
-    family = [e1, e2, -e1 - e2]
-    assert positive_kernel_vector(Z2, family, budget=7) == (1, 1, 1)
+    # both fundamental circuits, (0, 1, 3) and (0, 1, 4), are mixed, so the
+    # walk runs on the members in their support, 0, 1, 3 and 4 (member 2 is
+    # in no relation): (0), (0,1), (0,1,3), (0,1,4), (0,3), (0,3,4), (0,4),
+    # (1), (1,3), (1,3,4), (1,4), (3), (3,4) (a one-signed circuit), (4)
+    Z3 = FinGenAbelianGroup.free(3)
+    e1, e2, e3 = (Z3.element([int(i == j) for j in range(3)]) for i in range(3))
+    family = [e1, e2, e3, e1 - e2, e2 - e1]
+    assert positive_kernel_vector(Z3, family, budget=14) == (0, 0, 0, 1, 1)
     with pytest.raises(BudgetExceeded) as info:
-        positive_kernel_vector(Z2, family, budget=6)
-    assert str(info.value) == "nonnegative-relation search exceeded 6 families at size 1"
+        positive_kernel_vector(Z3, family, budget=13)
+    assert str(info.value) == "nonnegative-relation search exceeded 13 families at size 1"
+    # a one-signed fundamental circuit answers without the walk
+    assert positive_kernel_vector(Z3, [e1, e2, -e1 - e2], budget=0) == (1, 1, 1)
+
+
+def test_positive_kernel_vector_large_families_at_default_budget():
+    # the walk over 24 independent members would try 2^24 - 1 families
+    n = 24
+    group = FinGenAbelianGroup(n, (6,))
+    units = [group.element([int(i == j) for j in range(n)] + [1]) for i in range(n)]
+    assert positive_kernel_vector(group, units) is None
+    # one relation, all ones; the torsion sum 24 - 23 = 1 has order 6
+    last = group.element([-1] * n + [-23])
+    assert positive_kernel_vector(group, units + [last]) == (6,) * (n + 1)
+    # one mixed-sign relation
+    assert positive_kernel_vector(group, units + [group.element([1] * n + [0])]) is None
+    # two relations, the second one-signed, and a member outside both
+    free = FinGenAbelianGroup.free(n + 1)
+    basis = [free.element([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
+    family = basis[:n] + [basis[0] - basis[1], -sum(basis[:n], free.zero()), basis[n]]
+    assert positive_kernel_vector(free, family) == (1,) * n + (0, 1, 0)
 
 
 def test_positive_kernel_vector_matches_brute_force_small_exponent():
