@@ -5,7 +5,7 @@ Schema::
     {
       "group":   {"free_rank": 2, "torsion": [3]},
       "classes": [[1, 0, 2], [0, 1, 0]],          # free coords then residues
-      "labels":  ["u", "v"],                       # optional
+      "labels":  ["u", "v"],                       # optional, no ',' or '^'
       "mult":    [1, "inf"]                        # optional, default all 1
     }
 
@@ -89,6 +89,11 @@ def parse_spec_dict(data: dict) -> tuple[KrullSpec, tuple[str, ...]]:
         raise SpecFileError("'labels' must list one string per class")
     if len(set(raw_labels)) != len(raw_labels):
         raise SpecFileError("labels must be distinct")
+    for s in raw_labels:
+        # a sequence is read as labels split at ',', each maybe with '^k'
+        if not s or s != s.strip() or "," in s or "^" in s:
+            raise SpecFileError(f"label {json.dumps(s)} is empty, has surrounding"
+                                " whitespace, or contains ',' or '^'")
 
     try:
         spec = KrullSpec(class_set, tuple(mult))

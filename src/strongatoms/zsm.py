@@ -408,91 +408,68 @@ class Factorization:
         return out
 
 
-def _fitting_by_first_class(target: Seq[int],
-                            atom_vectors: Seq[tuple[int, ...]]) -> list[list[int]]:
-    """The indices of the atoms that fit ``target``, in increasing order,
-    grouped by their first nonzero class."""
-    by_first: list[list[int]] = [[] for _ in target]
-    for i, v in enumerate(atom_vectors):
-        if all(map(le, v, target)):
-            by_first[next(j for j, x in enumerate(v) if x)].append(i)
-    return by_first
-
-
 def _packed(target: Seq[int], atom_vectors: Seq[tuple[int, ...]]) -> tuple:
     """``target`` and the atoms that fit it packed into ints, class s in bits
     s*w .. s*w + w - 1 (w - 1 bits hold target's largest entry; G masks the
     top, guard, bits): A fits R iff ``((R | G) - A) & G == G``, and then
     R - A is ``((R | G) - A) ^ G``.  Returns w, G, the packed target and the
-    fitting atoms by first class, as indices and packed."""
+    fitting atoms grouped by first nonzero class, as increasing indices and
+    packed.  Raises DimensionMismatch for an atom vector not as long as
+    ``target``, and ValueError for a negative entry or a zero atom vector."""
+    if any(len(v) != len(target) for v in atom_vectors):
+        raise DimensionMismatch("atom vector length does not match the target")
+    if min(0, *target, *map(min, atom_vectors)) < 0 or not all(map(any, atom_vectors)):
+        raise ValueError("entries must be nonnegative and atom vectors nonzero")
     w = max(target, default=0).bit_length() + 1
 
     def pack(v: Seq[int]) -> int:
         return sum(x << s * w for s, x in enumerate(v))
-    by_first = _fitting_by_first_class(target, atom_vectors)
+    by_first: list[list[int]] = [[] for _ in target]
+    for i, v in enumerate(atom_vectors):
+        if all(map(le, v, target)):
+            by_first[next(j for j, x in enumerate(v) if x)].append(i)
     return (w, pack([1 << (w - 1)] * len(target)), pack(target), by_first,
             [[pack(atom_vectors[i]) for i in fitting] for fitting in by_first])
 
 
-def _blocks(rem: int, through: int, candidates: list[int], packed: list[int],
+def _blocks(rem: int, j: int, w: int, candidates: list[int], packed: list[int],
             guard: int, nodes: int, budget: int) -> tuple[list, int]:
-    """The blocks of the packed remainder ``rem`` from the candidates (the
-    atoms whose first nonzero class is rem's, class j; ``through`` masks the
-    fields 0..j), as pairs (atom indices, rem minus the block), with
-    ``nodes`` plus the counts tried.  Candidates are taken in order, each
-    with as many copies as fit and then one fewer at a time, on a stack of
-    (position, copies) pairs; the last candidate is taken only with the
-    copies that leave field j 0.  Copies are taken by guarded subtraction,
-    k at a time while they fit, k = 1, 1, 2, 4, ... (as many as taken so
-    far), then k/2, ..., 1.  Raises BudgetExceeded once nodes pass ``budget``."""
+    """The blocks of the packed remainder ``rem`` (fields w bits wide, class
+    j its first nonzero one) from the candidates, the atoms whose first
+    nonzero class is j, as pairs (atom indices, rem minus the block), with
+    ``nodes`` plus one for each partial block walked, the empty one included.
+    Every candidate but the last is taken one copy at a time, in
+    nondecreasing position; at each partial block the last is taken
+    c = r_j // a_j times if that is exact and c copies fit (c times its
+    largest entry in w - 1 bits, so that no field overflows, then one
+    guarded subtraction).  Partial blocks are linked (index, rest) cells,
+    made tuples in increasing position only when listed.  Raises
+    BudgetExceeded once nodes pass ``budget``."""
+    if not candidates:
+        return [], nodes + 1
     out = []
-    last = len(candidates) - 1
-    stack: list[tuple[int, int]] = []     # (position, copies), positions increasing
-    pos = 0                               # the next candidate taken is at least this
-    while True:
-        if not rem & through:
-            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)), rem))
-        else:
-            c = 0
-            while pos <= last:
-                r, m, k = rem | guard, packed[pos], 1
-                while (d := r - m) & guard == guard:
-                    r, c = d, c + k
-                    if c > k:
-                        m, k = m << 1, k << 1
-                while k > 1:
-                    m, k = m >> 1, k >> 1
-                    if (d := r - m) & guard == guard:
-                        r, c = d, c + k
-                if c and (pos < last or not (r ^ guard) & through):
-                    break
-                c = 0
-                pos += 1
-            if c:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-                rem = r ^ guard
-                stack.append((pos, c))
-                pos += 1
-                continue
-        # step the deepest count down by one; the last candidate's count is
-        # forced, so it is dropped instead
-        while stack:
-            p, c = stack.pop()
-            if p == last:
-                rem += c * packed[p]
-                continue
-            rem += packed[p]
-            if c > 1:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-                stack.append((p, c - 1))
-            pos = p + 1
-            break
-        else:
-            return out, nodes
+    last, a, field = candidates[-1], packed[-1], (1 << w) - 1
+    a_j = a >> j * w & field
+    a_max = max(a >> s & field for s in range(0, a.bit_length(), w))
+    stack = [(rem, 0, None)]              # (remainder, first position, cells)
+    while stack:
+        rem, pos, cells = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
+        r = rem | guard
+        c, left = divmod(rem >> j * w & field, a_j)
+        if not left and c * a_max <= field >> 1 and (d := r - c * a) & guard == guard:
+            block, link = [], cells
+            while link:
+                i, link = link
+                block.append(i)
+            block.reverse()
+            out.append((tuple(block) + (last,) * c, d ^ guard))
+        for p in range(pos, len(packed) - 1):
+            if (d := r - packed[p]) & guard == guard:
+                stack.append((d ^ guard, p, (candidates[p], cells)))
+    return out, nodes
 
 
 def vector_factorizations(target: Seq[int],
@@ -510,11 +487,10 @@ def vector_factorizations(target: Seq[int],
     F(target) is sorted, entries and all.  The table is filled in one
     post-order pass on an explicit stack: a state lists its blocks, pushes the
     unfilled remainders they leave, and merges its list once all of them are
-    filled.  ``budget`` counts the table's states, the counts tried while
-    listing blocks and the merged entries, so it also bounds the lists, kept
-    until the call returns.  A node is counted before it is made and checked
-    before any entry is made (a state's own node with its first count or its
-    merge).
+    filled.  ``budget`` counts the table's states, the atoms the block walk
+    takes (see :func:`_blocks`) and the merged entries, each checked before
+    what it counts is listed, so it bounds the walk and the lists, kept until
+    the call returns.
     """
     w, guard, top, by_first, packed = _packed(target, atom_vectors)
     table: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -527,8 +503,7 @@ def vector_factorizations(target: Seq[int],
                 stack.pop()
                 continue
             j = ((rem & -rem).bit_length() - 1) // w
-            blocks, nodes = _blocks(rem, (1 << (j + 1) * w) - 1, by_first[j], packed[j],
-                                    guard, nodes + 1, budget)
+            blocks, nodes = _blocks(rem, j, w, by_first[j], packed[j], guard, nodes, budget)
             stack[-1] = (rem, blocks)
             pending = [(c, None) for _, c in blocks if c not in table]
             if pending:

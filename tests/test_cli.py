@@ -325,6 +325,18 @@ def test_exit_code_boolean_mult(tmp_path, capsys):
     assert code == 2 and "mult[0]" in captured.err
 
 
+@pytest.mark.parametrize("label", ["", " g", "g ", "g,h", "g^2"])
+def test_exit_code_label_a_sequence_would_misread(tmp_path, capsys, label):
+    # sequences are split at ',' and '^': with labels g and g^2, 'g,g^2'
+    # was read as g three times
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [3]},
+                                "classes": [[1], [2]], "labels": ["g", label]}))
+    assert main(["factor", "--spec", str(path), "--sequence", "g,g^2", "--machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"label {json.dumps(label)}" in captured.err
+
+
 @pytest.mark.parametrize("budget", ["-5", "0", "x", "1.5"])
 def test_budget_must_be_a_positive_integer(cyclic3, capsys, budget):
     with pytest.raises(SystemExit) as exc:

@@ -601,7 +601,7 @@ def test_vector_factorizations_budget_bounds_merged_entries():
             atoms.append(tuple(x if s == k else 0 for s in range(m)))
     with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
         vector_factorizations((2,) * m, atoms, budget=1000)
-    assert len(vector_factorizations((2,) * 8, atoms[:16])) == 2 ** 8
+    assert len(vector_factorizations((2,) * 8, [a[:8] for a in atoms[:16]])) == 2 ** 8
 
 
 def tuple_blocks(rem, j, candidates, atom_vectors, supports, nodes, budget):
@@ -665,7 +665,7 @@ def tuple_supports(by_first, atom_vectors):
 def tuple_all_factorizations(target, atom_vectors, budget):
     """Reference: the former one-pass block table keyed by exponent tuples,
     each state's list sorted, entries and all."""
-    by_first = zsm._fitting_by_first_class(target, atom_vectors)
+    by_first = zsm._packed(target, atom_vectors)[3]
     supports = tuple_supports(by_first, atom_vectors)
     table = {(0,) * len(target): [()]}
     stack = [(target, None)]
@@ -699,7 +699,7 @@ def tuple_all_factorizations(target, atom_vectors, budget):
 def tuple_vector_length_mask(target, atom_vectors, budget):
     """Reference: the former length table keyed by exponent tuples."""
     by_first = [[atom_vectors[i] for i in fitting]
-                for fitting in zsm._fitting_by_first_class(target, atom_vectors)]
+                for fitting in zsm._packed(target, atom_vectors)[3]]
     table = {(0,) * len(target): 1}
     stack = [(tuple(target), None)]
     while stack:
@@ -730,7 +730,7 @@ def two_pass_all_factorizations(target, atom_vectors, budget):
     """Reference: the former block table, filled in two passes (list every
     state's blocks, then merge children first and free each list after its
     last use)."""
-    by_first = zsm._fitting_by_first_class(target, atom_vectors)
+    by_first = zsm._packed(target, atom_vectors)[3]
     supports = tuple_supports(by_first, atom_vectors)
     zero = (0,) * len(target)
     blocks = {zero: []}
@@ -791,6 +791,15 @@ def least_budget(search):
     return hi
 
 
+def assert_least_budget(search, message):
+    """``search`` returns at its least budget b, and at b - 1 raises
+    BudgetExceeded with ``message`` formatted with b - 1."""
+    budget = least_budget(search)
+    with pytest.raises(BudgetExceeded) as raised:
+        search(budget - 1)
+    assert str(raised.value) == message.format(budget - 1)
+
+
 @settings(max_examples=400)
 @given(factorization_systems(), st.randoms(use_true_random=False))
 def test_all_factorizations_matches_two_pass_table(system, rng):
@@ -799,13 +808,10 @@ def test_all_factorizations_matches_two_pass_table(system, rng):
     rng.shuffle(shuffled)
     for vectors in (atoms, shuffled):
         full = vector_factorizations(target, vectors)
-        budget = least_budget(lambda b: vector_factorizations(target, vectors, budget=b))
-        assert two_pass_all_factorizations(target, vectors, budget) == full
-        # at budget 0 the former table did not raise on a target whose one
-        # state tries no count, since it checked only counts and merged entries
-        if budget > 1:
-            with pytest.raises(BudgetExceeded, match="factorization table exceeded"):
-                two_pass_all_factorizations(target, vectors, budget - 1)
+        assert two_pass_all_factorizations(target, vectors, DEFAULT_NODE_BUDGET) == full
+        if any(target):
+            assert_least_budget(lambda b: vector_factorizations(target, vectors, budget=b),
+                                "factorization table exceeded {} nodes")
 
 
 @st.composite
@@ -848,22 +854,20 @@ def test_packed_tables_match_tuple_tables(system, rng):
     shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
     rng.shuffle(shuffled)
     for vectors in (atoms, shuffled):
-        pairs = [
-            (lambda b: vector_factorizations(target, vectors, budget=b),
-             lambda b: tuple_all_factorizations(target, vectors, b)),
-            (lambda b: vector_length_mask(target, vectors, budget=b),
-             lambda b: tuple_vector_length_mask(target, vectors, b)),
-        ]
-        for packed, reference in pairs:
-            budget = least_budget(packed)
-            assert packed(budget) == reference(budget)
-            if any(target):
-                messages = []
-                for search in (packed, reference):
-                    with pytest.raises(BudgetExceeded) as raised:
-                        search(budget - 1)
-                    messages.append(str(raised.value))
-                assert messages[0] == messages[1]
+        # the factorization table counts its nodes unlike the reference
+        factor = lambda b: vector_factorizations(target, vectors, budget=b)
+        assert (factor(DEFAULT_NODE_BUDGET)
+                == tuple_all_factorizations(target, vectors, DEFAULT_NODE_BUDGET))
+        lengths = lambda b: vector_length_mask(target, vectors, budget=b)
+        budget = least_budget(lengths)
+        assert lengths(budget) == tuple_vector_length_mask(target, vectors, budget)
+        if any(target):
+            assert_least_budget(factor, "factorization table exceeded {} nodes")
+            message = f"length table exceeded {budget - 1} states"
+            for search in (lengths, lambda b: tuple_vector_length_mask(target, vectors, b)):
+                with pytest.raises(BudgetExceeded) as raised:
+                    search(budget - 1)
+                assert str(raised.value) == message
 
 
 def test_packed_tables_on_zero_and_one_class_targets():
@@ -890,12 +894,44 @@ def test_packed_tables_on_zero_and_one_class_targets():
 
 
 def test_block_listing_finds_large_counts_in_few_subtractions():
-    # 2^39 copies fit, yet none of these may take one subtraction per copy:
-    # the last candidate cannot close its class, so no block is listed
+    # 2^39 copies fit, yet the last candidate's count is one division: it
+    # cannot close its class, so no block is listed
     assert vector_factorizations((2 ** 40 + 1,), [(2,)]) == []
     assert vector_factorizations((2 ** 40, 2 ** 40 - 1), [(1, 1)]) == []
+    # four copies of (1, 4, 0) would carry 16 out of class 1's 4-bit field
+    # into class 2, where one guarded subtraction would not see it
+    assert vector_factorizations((4, 4, 1), [(0, 1, 0), (1, 4, 0)]) == []
+    # any other candidate is taken one copy, and one node, at a time
     with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
         vector_factorizations((2 ** 40 + 1,), [(2,), (4,)], budget=1000)
+
+
+def test_block_walk_copies_no_partial_block():
+    # 200,000 partial blocks, each one copy of (2,) longer than the last: a
+    # walk that copied each one would copy about 2 * 10^10 indices
+    with pytest.raises(BudgetExceeded, match="factorization table exceeded 200000 nodes"):
+        vector_factorizations((2 ** 40 + 1,), [(2,), (4,)], budget=200_000)
+
+
+def test_block_walk_nodes_on_two_classes():
+    # (1, 1) taken k times for k = 0..3000, closed by (3, 0) when 3 divides
+    # 3000 - k: 3,001 partial blocks in the target's state, 1,000 further
+    # states, (0, 3000 - k) from (0, 3) alone, and 2,001 merged entries
+    atoms = [(0, 3), (1, 1), (3, 0)]
+    assert len(vector_factorizations((3000, 3000), atoms, budget=6002)) == 1001
+    with pytest.raises(BudgetExceeded, match="factorization table exceeded 6001 nodes"):
+        vector_factorizations((3000, 3000), atoms, budget=6001)
+
+
+@pytest.mark.parametrize("search", [vector_factorizations, vector_length_mask])
+def test_vector_tables_reject_inputs_outside_their_domain(search):
+    for target, atoms in (((1,), [(1, 0)]), ((1, 1), [(1,)])):
+        with pytest.raises(DimensionMismatch):
+            search(target, atoms)
+    for target, atoms in (((1, 1), [(1, -1), (0, 2)]), ((-1,), [(-1,)]),
+                          ((-1, 2), [(1, 1)]), ((2,), [(0,), (1,)])):
+        with pytest.raises(ValueError, match="nonnegative and atom vectors nonzero"):
+            search(target, atoms)
 
 
 def test_vector_factorizations_deep_target():
