@@ -7,7 +7,10 @@ machine reports are byte-identical across runs).  A machine report is exactly
 ``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline:
 one compact, ASCII-only line from the standard library's C encoder.  Report
 version 2 lists each ``factor`` factorization by its ``atom_indices`` alone;
-``results["atoms"]`` gives the atoms those indices refer to.
+``results["atoms"]`` gives the atoms those indices refer to.  Those rows are
+the ascending index tuples of :func:`strongatoms.zsm.vector_factorizations`
+as the table lists them (over atoms in lexicographic order, no entry is
+sorted again), and the report's lengths are the tuples' lengths.
 ``build_parser`` builds the parser once per process; in-process callers of
 ``main`` share it.
 
@@ -62,19 +65,20 @@ def _seq_dict(seq: zsm.Sequence, labels) -> dict:
 
 def parse_sequence(text: str, class_set: zsm.ClassSet, labels) -> zsm.Sequence:
     """Either a comma-separated exponent vector, or a multiset of labels
-    (each optionally carrying ^k)."""
+    (each optionally carrying ^k).  Exponents and powers k are plain decimal
+    digits; an exponent may carry a minus sign, which the sequence rejects."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise SpecFileError("empty sequence")
-    if len(tokens) == len(class_set) and all(_is_int(t) for t in tokens):
+    if len(tokens) == len(class_set) and all(_digits(t.removeprefix("-")) for t in tokens):
         return class_set.sequence([int(t) for t in tokens])
     exps = [0] * len(class_set)
     index = {lab: i for i, lab in enumerate(labels)}
     for tok in tokens:
-        name, _, power = tok.partition("^")
+        name, caret, power = tok.partition("^")
         k = 1
-        if power:
-            if not _is_int(power) or int(power) < 1:
+        if caret:
+            if not _digits(power) or int(power) < 1:
                 raise SpecFileError(f"bad multiplicity in token {tok!r}")
             k = int(power)
         if name not in index:
@@ -83,12 +87,10 @@ def parse_sequence(text: str, class_set: zsm.ClassSet, labels) -> zsm.Sequence:
     return class_set.sequence(exps)
 
 
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
+def _digits(s: str) -> bool:
+    """s is one or more plain decimal digits: no sign, space or underscore,
+    which ``int`` would accept."""
+    return s.isascii() and s.isdigit()
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +110,12 @@ def _atoms_payload(spec, labels, budget):
 
 def _factor_payload(spec, labels, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
-    facs = zsm.factorizations(seq, atoms, budget=budget)
+    facs = zsm.vector_factorizations(seq.exponents, zsm.atom_vectors_for(seq, atoms),
+                                     budget=budget)
     payload = {
         "sequence": _seq_dict(seq, labels),
         "atoms": [_seq_dict(a, labels) for a in atoms],
-        "factorizations": [{"atom_indices": list(f.atom_indices)} for f in facs],
+        "factorizations": [{"atom_indices": f} for f in facs],
         "count": len(facs),
         "lengths": sorted({len(f) for f in facs}),
     }

@@ -14,11 +14,14 @@ exponent vector packed into one int (one field per class, see
 The factorization table splits each factorization uniquely into its
 *block*, the atoms nonzero in the remainder's first nonzero class, and a
 factorization of what the block leaves (see :func:`vector_factorizations`);
-each multiset of atoms is therefore produced exactly once, and only the
-target's list is sorted.  Length sets and elasticity list no factorization:
-their table holds length bitmasks and steps one atom of the first nonzero
-class at a time, so it reaches a multiset of atoms once for each of its
-atoms in that class and gives lengths, not factorization counts.
+each multiset of atoms is therefore produced exactly once.  Over atoms in
+lexicographic order, as an :class:`AtomSet` keeps them, every entry comes out
+as an ascending index tuple, so only the target's list is sorted, once; the
+``factor`` command reports these tuples as they are.  Length sets and
+elasticity list no factorization: their table holds length bitmasks and
+steps one atom of the first nonzero class at a time, so it reaches a
+multiset of atoms once for each of its atoms in that class and gives
+lengths, not factorization counts.
 """
 
 from __future__ import annotations
@@ -483,16 +486,22 @@ def vector_factorizations(target: Seq[int],
     j, so a factorization of rem splits uniquely into its block (its atoms
     that are nonzero in class j, whose class-j entries sum to rem[j]) and a
     factorization of rem minus the block's sum, which is zero through j.
-    F(rem) holds each entry of F(rem - block) followed by the block, and only
-    F(target) is sorted, entries and all.  The table is filled in one
-    post-order pass on an explicit stack: a state lists its blocks, pushes the
-    unfilled remainders they leave, and merges its list once all of them are
-    filled.  ``budget`` counts the table's states, the atoms the block walk
-    takes (see :func:`_blocks`) and the merged entries, each checked before
-    what it counts is listed, so it bounds the walk and the lists, kept until
-    the call returns.
+    F(rem) holds each entry of F(rem - block) followed by the block.  When
+    the atom vectors are in lexicographic order, the order of an
+    :class:`AtomSet`, every entry is ascending: the atoms of a factorization
+    of rem - block are nonzero first after class j, so they are
+    lexicographically smaller than the block's atoms and come first, and the
+    block lists its indices in increasing position.  Otherwise each entry of
+    F(target) is sorted once.  Either way only F(target) is sorted as a list,
+    once.  The table is filled in one post-order pass on an explicit stack: a
+    state lists its blocks, pushes the unfilled remainders they leave, and
+    merges its list once all of them are filled.  ``budget`` counts the
+    table's states, the atoms the block walk takes (see :func:`_blocks`) and
+    the merged entries, each checked before what it counts is listed, so it
+    bounds the walk and the lists, kept until the call returns.
     """
     w, guard, top, by_first, packed = _packed(target, atom_vectors)
+    ascending = all(map(le, atom_vectors, atom_vectors[1:]))
     table: dict[int, list[tuple[int, ...]]] = {0: [()]}
     stack: list[tuple[int, list | None]] = [(top, None)]
     nodes = 0
@@ -513,7 +522,10 @@ def vector_factorizations(target: Seq[int],
         if nodes > budget:
             raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
         merged = (f + block for block, c in blocks for f in table[c])
-        table[rem] = sorted(tuple(sorted(f)) for f in merged) if rem == top else list(merged)
+        if rem != top:
+            table[rem] = list(merged)
+        else:
+            table[rem] = sorted(merged if ascending else (tuple(sorted(f)) for f in merged))
         stack.pop()
     return table[top]
 
@@ -557,9 +569,10 @@ def vector_length_mask(target: Seq[int],
     return table[top]
 
 
-def _factorable(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
-    """The atoms' exponent vectors, once b is known to be a zero-sum sequence
-    over the atom set's class set."""
+def atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
+    """The atoms' exponent vectors, in the atom set's (lexicographic) order,
+    once b is known to be a zero-sum sequence over its class set; raises
+    DimensionMismatch or NotZeroSum otherwise."""
     if b.class_set != atom_set.class_set:
         raise DimensionMismatch("sequence and atom set over different class sets")
     if not b.is_zero_sum():
@@ -574,7 +587,7 @@ def factorizations(b: Sequence, atom_set: AtomSet,
     The empty sequence has exactly the empty factorization.  Raises
     NotZeroSum unless sigma(b) = 0.
     """
-    vecs = _factorable(b, atom_set)
+    vecs = atom_vectors_for(b, atom_set)
     found = vector_factorizations(b.exponents, vecs, budget=budget)
     return [Factorization(ix) for ix in found]
 
@@ -584,7 +597,7 @@ def length_set(b: Sequence, atom_set: AtomSet,
     """The lengths of the factorizations of b, from the length table (the
     factorizations themselves are not listed).  Raises NotZeroSum unless
     sigma(b) = 0."""
-    mask = vector_length_mask(b.exponents, _factorable(b, atom_set), budget=budget)
+    mask = vector_length_mask(b.exponents, atom_vectors_for(b, atom_set), budget=budget)
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 

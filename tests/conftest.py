@@ -151,6 +151,14 @@ def brute_nonneg_kernel_exists(family, bound):
 
 SMALL_TORSIONS = ((), (2,), (3,), (2, 4), (6,))
 
+# (n, target): the factor targets of the lengths benchmark workload
+# (perfbench/workloads.py), exponent vectors over B(Z/n \ 0), whose classes
+# are 1, ..., n - 1 in this order
+B_ZN_FACTOR_TARGETS = (
+    (4, (16, 16, 16)), (5, (10, 10, 10, 10)), (5, (8, 8, 8, 8)), (5, (10, 9, 10, 8)),
+    (6, (6, 6, 6, 6, 6)), (6, (5, 6, 4, 6, 5)), (6, (6, 5, 6, 5, 6)),
+    (7, (4, 4, 4, 4, 4, 4)), (7, (3, 4, 3, 4, 3, 2)), (7, (3, 3, 3, 3, 3, 3)))
+
 
 @st.composite
 def small_families(draw, max_members=4, amp=2, torsions=SMALL_TORSIONS):

@@ -6,12 +6,18 @@ import re
 import subprocess
 import sys
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongatoms import zsm
+from strongatoms import cli, zsm
+from strongatoms.abgroup import FinGenAbelianGroup
 from strongatoms.cli import EXIT_INTERNAL, _display, build_parser, main, parse_sequence
 from strongatoms.specfile import SpecFileError, load_spec, parse_spec_dict, spec_to_dict
+
+from conftest import B_ZN_FACTOR_TARGETS
+from factor_report_before import factor_payload_before
 
 CYCLIC3_SPEC = """{
   "group": {"free_rank": 0, "torsion": [3]},
@@ -382,6 +388,21 @@ def test_exit_code_library_value_errors(cyclic3, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("sequence, token", [
+    ("g^,g^,g^", "g^"), ("g^ 3", "g^ 3"), ("g^+3", "g^+3"), ("g^1_2", "g^1_2"),
+    ("1_0,1", "1_0")])
+def test_exit_code_power_or_exponent_not_plain_digits(cyclic3, capsys, sequence, token):
+    # int() reads ' 3', '+3' and '1_2', and an empty power was read as 1:
+    # each of these sequences was read as a zero-sum one
+    spec, labels = load_spec(cyclic3)
+    with pytest.raises(SpecFileError, match=re.escape(repr(token))):
+        parse_sequence(sequence, spec.class_set, labels)
+    for command in ("factor", "lengths"):
+        assert main([command, "--spec", cyclic3, "--sequence", sequence, "--machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(token) in captured.err
+
+
 def test_exit_code_non_zero_sum(cyclic3, capsys):
     assert main(["factor", "--spec", cyclic3, "--sequence", "g"]) == 2
 
@@ -648,6 +669,84 @@ def test_factor_report_matches_library_on_generated_sequences(name, multipliciti
     exps = [sum(m * a.exponents[i] for m, a in zip(multiplicities, atoms))
             for i in range(len(spec.class_set))]
     check_factor_against_library(path, ",".join(map(str, exps)))
+
+
+# factor reports against the report as it was built before its rows came
+# straight from the factorization table (factor_report_before)
+
+
+def factor_reports(path, sequence):
+    """The machine report of ``factor`` and the lines of its human report
+    less the timing line."""
+    code, machine = run_redirected("factor", "--spec", str(path), "--sequence", sequence,
+                                   "--machine")
+    assert code == 0
+    code, human = run_redirected("factor", "--spec", str(path), "--sequence", sequence)
+    assert code == 0
+    return machine, human_lines(human)
+
+
+def assert_factor_reports_as_before(path, sequence):
+    reports = factor_reports(path, sequence)
+    with mock.patch.object(cli, "_factor_payload", factor_payload_before):
+        assert factor_reports(path, sequence) == reports
+
+
+FACTOR_REPORT_GROUPS = (
+    FinGenAbelianGroup(0, (2,)), FinGenAbelianGroup(0, (5,)), FinGenAbelianGroup(0, (6,)),
+    FinGenAbelianGroup(0, (2, 2)), FinGenAbelianGroup(0, (2, 4)),
+    FinGenAbelianGroup(1, ()), FinGenAbelianGroup(2, ()), FinGenAbelianGroup(1, (2,)))
+
+
+@st.composite
+def specs_with_zero_sums(draw):
+    """(spec, exponent vector): 2-5 distinct classes of a finite group, or of
+    Z, Z^2 or Z + Z/2 with free coordinates in [-2, 2], and a product of 2-4
+    atom powers with exponents 1-4 (the empty sequence when there is no
+    atom)."""
+    group = draw(st.sampled_from(FACTOR_REPORT_GROUPS))
+    coords = st.tuples(*(st.integers(-2, 2) for _ in range(group.free_rank)),
+                       *(st.integers(0, d - 1) for d in group.torsion))
+    classes = draw(st.lists(coords, min_size=2, max_size=5, unique=True))
+    class_set = zsm.ClassSet(group, tuple(map(group.element, classes)))
+    atoms = zsm.enumerate_atoms(class_set)
+    powers = (draw(st.lists(st.tuples(st.integers(0, len(atoms) - 1), st.integers(1, 4)),
+                            min_size=2, max_size=4)) if len(atoms) else [])
+    exps = [sum(k * atoms[i].exponents[c] for i, k in powers) for c in range(len(classes))]
+    spec = {"group": {"free_rank": group.free_rank, "torsion": list(group.torsion)},
+            "classes": [list(c) for c in classes]}
+    return spec, ",".join(map(str, exps))
+
+
+@settings(max_examples=300)
+@given(case=specs_with_zero_sums())
+def test_factor_reports_as_before_on_generated_class_sets(tmp_path_factory, case):
+    spec, sequence = case
+    path = tmp_path_factory.getbasetemp() / "factor_report_spec.json"
+    path.write_text(json.dumps(spec))
+    assert_factor_reports_as_before(path, sequence)
+
+
+@pytest.mark.parametrize("n, target", B_ZN_FACTOR_TARGETS)
+def test_factor_reports_as_before_on_benchmark_targets(tmp_path, n, target):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [n]},
+                                "classes": [[k] for k in range(1, n)]}))
+    assert_factor_reports_as_before(path, ",".join(map(str, target)))
+
+
+def test_factor_budget_on_a_benchmark_target(tmp_path, capsys):
+    # 414 is the least budget of the factorization table on this target
+    # (tests/test_zsm.py); the atom search needs fewer nodes
+    path = tmp_path / "spec.json"
+    path.write_text('{"group": {"free_rank": 0, "torsion": [4]}, "classes": [[1], [2], [3]]}')
+    argv = ["factor", "--spec", str(path), "--sequence", "16,16,16", "--machine"]
+    assert main(argv + ["--budget", "413"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: factorization table exceeded 413 nodes\n"
+    assert main(argv + ["--budget", "414"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 85
 
 
 def human_lines(out):

@@ -36,6 +36,8 @@ from strongatoms.zsm import (
     vector_length_mask,
 )
 
+from conftest import B_ZN_FACTOR_TARGETS
+from factor_report_before import vector_factorizations_before
 from factorization_search import (
     next_index_vector_factorizations,
     recursive_vector_factorizations,
@@ -793,11 +795,12 @@ def least_budget(search):
 
 def assert_least_budget(search, message):
     """``search`` returns at its least budget b, and at b - 1 raises
-    BudgetExceeded with ``message`` formatted with b - 1."""
+    BudgetExceeded with ``message`` formatted with b - 1; returns b."""
     budget = least_budget(search)
     with pytest.raises(BudgetExceeded) as raised:
         search(budget - 1)
     assert str(raised.value) == message.format(budget - 1)
+    return budget
 
 
 @settings(max_examples=400)
@@ -812,6 +815,37 @@ def test_all_factorizations_matches_two_pass_table(system, rng):
         if any(target):
             assert_least_budget(lambda b: vector_factorizations(target, vectors, budget=b),
                                 "factorization table exceeded {} nodes")
+
+
+@settings(max_examples=400)
+@given(factorization_systems(), st.randoms(use_true_random=False))
+def test_vector_factorizations_matches_table_that_sorted_every_entry(system, rng):
+    # atoms in lexicographic order, as an AtomSet keeps them, and shuffled
+    # with a duplicate: entries come out ascending, or are sorted once
+    target, atoms = system
+    ordered = sorted(atoms)
+    shuffled = ordered + [ordered[rng.randrange(len(ordered))]]
+    rng.shuffle(shuffled)
+    for vectors in (ordered, shuffled):
+        assert vector_factorizations(target, vectors) == vector_factorizations_before(
+            target, vectors)
+
+
+# least budgets of the factorization table on the factor targets of the
+# lengths benchmark workload, as counted when every entry was sorted again:
+# listing the entries as the table builds them walks no other node
+B_ZN_FACTOR_LEAST_BUDGETS = (414, 9338, 3034, 5952, 4624, 2124, 2941, 8594, 1501, 1088)
+
+
+@pytest.mark.parametrize("n, target, budget", [
+    (n, target, budget)
+    for (n, target), budget in zip(B_ZN_FACTOR_TARGETS, B_ZN_FACTOR_LEAST_BUDGETS)])
+def test_factorization_table_nodes_on_benchmark_targets(n, target, budget):
+    group = FinGenAbelianGroup.cyclic(n)
+    vectors = minimal_zero_sum_vectors(group, [group.element((k,)) for k in range(1, n)])
+    search = lambda b: vector_factorizations(target, vectors, budget=b)
+    assert assert_least_budget(search, "factorization table exceeded {} nodes") == budget
+    assert search(budget) == vector_factorizations_before(target, vectors)
 
 
 @st.composite
