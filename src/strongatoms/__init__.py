@@ -23,13 +23,11 @@ from .abgroup import (
 from .krull import (
     AbsirredSearch,
     AllAbsirredReport,
-    BgReport,
     BgWitness,
     KrullSpec,
     PowerWitness,
     RepeatedClassWitness,
     ScenarioReport,
-    SearchBounds,
     all_irreducibles_absirred,
     angermueller_check,
     brute_force_absirred,
@@ -76,9 +74,7 @@ from .quadratic import (
 from .zsm import (
     AtomSet,
     ClassSet,
-    Factorization,
     Sequence,
-    atom_length_bound,
     elasticity,
     enumerate_atoms,
     factorizations,

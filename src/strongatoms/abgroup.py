@@ -29,6 +29,7 @@ a bijection on solutions that preserves the componentwise order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, zip_longest
@@ -182,9 +183,10 @@ class FinGenAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
         for d in self.torsion:
             if d < 2:
                 raise ValueError(f"torsion order {d} < 2")
@@ -195,6 +197,7 @@ class FinGenAbelianGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FinGenAbelianGroup":
+        n = operator.index(n)
         if n < 1:
             raise ValueError("cyclic order must be >= 1")
         return cls() if n == 1 else cls(torsion=(n,))
@@ -224,7 +227,7 @@ class FinGenAbelianGroup:
         return math.prod(self.torsion)
 
     def element(self, coords: Iterable[int]) -> "GroupElement":
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(map(operator.index, coords))
         r, k = self.free_rank, len(self.torsion)
         if len(coords) != r + k:
             raise DimensionMismatch(

@@ -8,9 +8,9 @@ machine reports are byte-identical across runs).  A machine report is exactly
 one compact, ASCII-only line from the standard library's C encoder.  Report
 version 2 lists each ``factor`` factorization by its ``atom_indices`` alone;
 ``results["atoms"]`` gives the atoms those indices refer to.  Those rows are
-the ascending index tuples of :func:`strongatoms.zsm.vector_factorizations`
-as the table lists them (over atoms in lexicographic order, no entry is
-sorted again), and the report's lengths are the tuples' lengths.
+the ascending index tuples of :func:`strongatoms.zsm.factorizations` as the
+table lists them (over atoms in lexicographic order, no entry is sorted
+again), and the report's lengths are the tuples' lengths.
 ``build_parser`` builds the parser once per process; in-process callers of
 ``main`` share it.
 
@@ -31,7 +31,6 @@ import time
 from . import krull, zsm
 from .abgroup import DEFAULT_NODE_BUDGET
 from .errors import BudgetExceeded, NotZeroSum
-from .krull import SearchBounds
 from .specfile import SpecFileError, load_spec, spec_to_dict
 from .verify import run_bundled_suite
 
@@ -110,8 +109,7 @@ def _atoms_payload(spec, labels, budget):
 
 def _factor_payload(spec, labels, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
-    facs = zsm.vector_factorizations(seq.exponents, zsm.atom_vectors_for(seq, atoms),
-                                     budget=budget)
+    facs = zsm.factorizations(seq, atoms, budget=budget)
     payload = {
         "sequence": _seq_dict(seq, labels),
         "atoms": [_seq_dict(a, labels) for a in atoms],
@@ -144,8 +142,8 @@ def _absirred_payload(spec, labels, seq, budget, nmax):
         else:
             entry["witness"] = {
                 "n": w.n,
-                "standard": list(w.standard.atom_indices),
-                "different": list(w.different.atom_indices),
+                "standard": list(w.standard),
+                "different": list(w.different),
             }
         if nmax is not None:
             entry["brute_force_up_to_nmax"] = krull.brute_force_absirred(a, atoms, nmax)
@@ -166,8 +164,8 @@ def _witness_dict(w, labels):
             "kind": "power-factorization",
             "atom": list(w.atom.exponents),
             "n": w.n,
-            "standard": list(w.standard.atom_indices),
-            "different": list(w.different.atom_indices),
+            "standard": list(w.standard),
+            "different": list(w.different),
         }
     return {
         "kind": "repeated-class",
@@ -182,8 +180,8 @@ def _witness_dict(w, labels):
     }
 
 
-def _classify_payload(spec, labels, bounds):
-    rep = krull.classify_scenario(spec, bounds)
+def _classify_payload(spec, labels, support_bound, budget):
+    rep = krull.classify_scenario(spec, support_bound, budget=budget)
     return {
         "row_label": rep.row_label,
         "columns": ["non_absolutely_irreducible_exists",
@@ -202,7 +200,7 @@ def _classify_payload(spec, labels, bounds):
             "family_semantics": rep.absirred_search.family_semantics,
         },
         "nonabsirred_witness": _witness_dict(rep.nonabsirred_witness, labels),
-        "bounds": {"support_bound": bounds.support_bound, "budget": bounds.budget},
+        "bounds": {"support_bound": support_bound, "budget": budget},
     }
 
 
@@ -364,10 +362,9 @@ def main(argv=None) -> int:
             report["inputs"]["options"] = {"budget": args.budget, "nmax": args.nmax}
             report["results"] = _absirred_payload(spec, labels, seq, args.budget, args.nmax)
         elif args.command == "classify":
-            bounds = SearchBounds(support_bound=args.bound, budget=args.budget)
             report["inputs"]["options"] = {"support_bound": args.bound,
                                            "budget": args.budget}
-            report["results"] = _classify_payload(spec, labels, bounds)
+            report["results"] = _classify_payload(spec, labels, args.bound, args.budget)
         report["status"] = "ok"
     except (SpecFileError, NotZeroSum, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """Vector or matrix dimensions incompatible with the ambient group."""
 
 
-class InfiniteGroupNoBound(ValueError):
-    """No a-priori atom length bound exists (nonzero free rank)."""
-
-
 class NotZeroSum(ValueError):
     """The sequence does not sum to zero."""
 

@@ -11,11 +11,12 @@ Three routes to absolute irreducibility of an atom are implemented and kept
 in agreement: support minimality within the atom set, the kernel criterion on
 the support family (nonnegative dependence of the whole family, integer
 independence of every proper subfamily), and explicit power-factorization
-witnesses.  A power check over small powers cross-checks them: u**n has a
-second factorization exactly when another atom divides it, so one
-divisibility scan of u**n_max decides every n up to n_max.
-An atom that repeats a class holding two prime divisors is not absolutely
-irreducible; its witness is built from the atom's exponents (see
+witnesses, whose two factorizations are ascending tuples of atom indices as
+``zsm.factorizations`` lists them.  A power check over small powers
+cross-checks them: u**n has a second factorization exactly when another atom
+divides it, so one divisibility scan of u**n_max decides every n up to
+n_max.  An atom that repeats a class holding two prime divisors is not
+absolutely irreducible; its witness is built from the atom's exponents (see
 ``repeated_class_witness``), with no atom search or factorization listing.
 
 The kernel criterion is decided as a circuit test: it holds exactly when the
@@ -45,7 +46,6 @@ from .errors import DimensionMismatch
 from .zsm import (
     AtomSet,
     ClassSet,
-    Factorization,
     Sequence,
     enumerate_atoms,
     is_minimal_zero_sum,
@@ -86,14 +86,6 @@ class KrullSpec:
         return tuple(2 if m == INFINITE or m > 2 else int(m) for m in self.mult)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Bounds for the classifier's searches."""
-
-    support_bound: int = 4
-    budget: int = DEFAULT_NODE_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # absolute irreducibility of a single atom
 
@@ -124,12 +116,13 @@ def is_absirred_kernel(group: FinGenAbelianGroup,
 
 @dataclass(frozen=True)
 class PowerWitness:
-    """Two essentially different factorizations of atom**n."""
+    """Two essentially different factorizations of atom**n, each an
+    ascending tuple of atom indices."""
 
     atom: Sequence
     n: int
-    standard: Factorization    # n copies of the atom
-    different: Factorization
+    standard: tuple[int, ...]    # n copies of the atom
+    different: tuple[int, ...]
 
 
 def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
@@ -140,7 +133,10 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     atom in index order is taken as often as it fits.  The remainder stays a
     zero-sum sequence, so every atom that fits it occurs in one of its
     factorizations, and the result is the cofactor's lexicographically first
-    factorization.  Returns None exactly when u has minimal support.
+    factorization.  v with that factorization is an ascending index tuple as
+    built: every atom the greedy pass takes lies inside supp(u) and is not u
+    (u dividing u**n / v would make v divide u**(n-1)), so its index is at
+    least v's.  Returns None exactly when u has minimal support.
     """
     iu = atom_set.index(u)
     iv = atom_set.atom_within_support(iu)
@@ -157,8 +153,7 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
             for j in support:
                 rem[j] -= c * a.exponents[j]
             taken += [i] * c
-    standard = Factorization((iu,) * n)
-    return PowerWitness(u, n, standard, Factorization(tuple(taken)))
+    return PowerWitness(u, n, (iu,) * n, tuple(taken))
 
 
 def brute_force_absirred(u: Sequence, atom_set: AtomSet, n_max: int) -> bool:
@@ -221,19 +216,14 @@ class BgWitness:
     power: int
 
 
-@dataclass(frozen=True)
-class BgReport:
-    all_absolutely_irreducible: bool
-    witness: BgWitness | None = None
-
-
-def check_bg_all_absirred(group: FinGenAbelianGroup) -> BgReport:
+def check_bg_all_absirred(group: FinGenAbelianGroup) -> BgWitness | None:
     """For finite G: every atom of the full zero-sum monoid is absolutely
-    irreducible iff |G| <= 2; failing cases carry an explicit witness."""
+    irreducible iff |G| <= 2.  Returns None then, and otherwise an explicit
+    witness that some atom is not."""
     if not group.is_finite:
         raise ValueError("finite groups only; infinite cases need an explicit class set")
     if group.cardinality() <= 2:
-        return BgReport(True)
+        return None
 
     # some cyclic component of order >= 3, if any
     for j, d in enumerate(group.torsion):
@@ -243,7 +233,7 @@ def check_bg_all_absirred(group: FinGenAbelianGroup) -> BgReport:
             s = cs.sequence((d, 0))
             s2 = cs.sequence((0, d))
             t = cs.sequence((1, 1))
-            return BgReport(False, BgWitness(cs, (s, s2), t, d))
+            return BgWitness(cs, (s, s2), t, d)
 
     # otherwise an elementary 2-group with at least two independent involutions
     k = len(group.torsion)
@@ -254,7 +244,7 @@ def check_bg_all_absirred(group: FinGenAbelianGroup) -> BgReport:
     s2 = cs.sequence((0, 2, 0))
     s3 = cs.sequence((0, 0, 2))
     t = cs.sequence((1, 1, 1))
-    return BgReport(False, BgWitness(cs, (s, s2, s3), t, 2))
+    return BgWitness(cs, (s, s2, s3), t, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +365,6 @@ class ScenarioReport:
     row_label: str
     absirred_search: AbsirredSearch
     nonabsirred_witness: PowerWitness | RepeatedClassWitness | None
-    bounds: SearchBounds
 
 
 def _sign(value: bool | None) -> str:
@@ -384,18 +373,20 @@ def _sign(value: bool | None) -> str:
     return "+" if value else "-"
 
 
-def classify_scenario(spec: KrullSpec,
-                      bounds: SearchBounds = SearchBounds()) -> ScenarioReport:
-    """Fill the scenario row for a specification, with verified witnesses."""
+def classify_scenario(spec: KrullSpec, support_bound: int = 4,
+                      *, budget: int = DEFAULT_NODE_BUDGET) -> ScenarioReport:
+    """Fill the scenario row for a specification, with verified witnesses.
+    ``support_bound`` and ``budget`` bound the existence search as in
+    :func:`exists_absirred_nonprime`; ``budget`` also bounds the atom search."""
     prime = has_prime_element(spec)
-    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
+    search = exists_absirred_nonprime(spec, support_bound, budget=budget)
     if search.found:
         absnp: bool | None = True
     elif search.exhaustive:
         absnp = False
     else:
         absnp = None
-    allabs = all_irreducibles_absirred(spec, budget=bounds.budget)
+    allabs = all_irreducibles_absirred(spec, budget=budget)
     witness: PowerWitness | RepeatedClassWitness | None = None
     if not allabs.holds:
         if allabs.failed_condition == "support-minimality":
@@ -405,14 +396,15 @@ def classify_scenario(spec: KrullSpec,
                                              allabs.failing_class_index)
     has_nonabs = not allabs.holds
     label = f"({_sign(has_nonabs)},{_sign(absnp)},{_sign(prime)})"
-    return ScenarioReport(prime, absnp, has_nonabs, label, search, witness, bounds)
+    return ScenarioReport(prime, absnp, has_nonabs, label, search, witness)
 
 
-def angermueller_check(spec: KrullSpec,
-                       bounds: SearchBounds = SearchBounds()) -> bool:
-    """Cross-consistency: all absolutely irreducibles found within bounds are
-    prime exactly when the spec is factorial (G0 inside the trivial class)."""
-    search = exists_absirred_nonprime(spec, bounds.support_bound, budget=bounds.budget)
+def angermueller_check(spec: KrullSpec, support_bound: int = 4,
+                       *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Cross-consistency: all absolutely irreducibles found within the bounds
+    (those of :func:`exists_absirred_nonprime`) are prime exactly when the
+    spec is factorial (G0 inside the trivial class)."""
+    search = exists_absirred_nonprime(spec, support_bound, budget=budget)
     all_absirred_prime = not search.found
     factorial = all(g.is_zero() for g in spec.class_set.classes)
     return all_absirred_prime == factorial

@@ -1,82 +1,44 @@
-"""Numerical monoids: interval monoids {0} u (n + N0) and finitely generated ones.
+"""Interval numerical monoids {0} u (n + N0).
 
 Only the additive exponent structure is modeled here.  Multiplicative
 distinctions of an ambient ring (unit groups, coefficient fields) are out of
 scope: the interval monoid with n = 1 is factorial as a monoid regardless of
-what a surrounding ring does.  The generated kind is a small extension kept
-for reuse.  Length sets are not computed here: zsm's length table
+what a surrounding ring does.  The atoms are the interval [n, 2n - 1].
+Length sets are not computed here: zsm's length table
 (``vector_length_mask``) takes the atoms as one-coordinate vectors.  All
-operations are pure, and no membership table outlives the call that built
-it.
+operations are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import NoWitness, NotMember
 
 
 @dataclass(frozen=True)
 class NumericalMonoid:
-    kind: str                  # "interval" | "generated"
-    data: tuple[int, ...]
+    """The interval monoid {0} u (n + N0), n a positive integer."""
+
+    n: int
 
     def __post_init__(self):
-        if self.kind == "interval":
-            (n,) = self.data
-            if n < 1:
-                raise ValueError("interval monoid needs n >= 1")
-        elif self.kind == "generated":
-            if not self.data or any(g < 1 for g in self.data):
-                raise ValueError("generators must be positive")
-            if math.gcd(*self.data) != 1:
-                raise ValueError("generators must have gcd 1")
-            # nm_atoms and nm_factorizations read the generators ascending, once each
-            object.__setattr__(self, "data", tuple(sorted(set(self.data))))
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        object.__setattr__(self, "n", index(self.n))
+        if self.n < 1:
+            raise ValueError("interval monoid needs n >= 1")
 
     @classmethod
     def interval(cls, n: int) -> "NumericalMonoid":
-        return cls("interval", (int(n),))
-
-    @classmethod
-    def generated(cls, *gens: int) -> "NumericalMonoid":
-        return cls("generated", tuple(int(g) for g in gens))
+        return cls(n)
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x == 0:
-            return True
-        if self.kind == "interval":
-            return x >= self.data[0]
-        return _members_up_to(self.data, x)[x]
-
-
-def _members_up_to(gens: tuple[int, ...], limit: int) -> list[bool]:
-    """Entry v tells whether v is a sum of generators, for v = 0..limit."""
-    ok = [False] * (limit + 1)
-    ok[0] = True
-    for v in range(1, limit + 1):
-        for g in gens:
-            if g <= v and ok[v - g]:
-                ok[v] = True
-                break
-    return ok
+        return x == 0 or x >= self.n
 
 
 def nm_atoms(m: NumericalMonoid) -> tuple[int, ...]:
-    """Atoms: the full interval [n, 2n-1], or the minimal generators."""
-    if m.kind == "interval":
-        n = m.data[0]
-        return tuple(range(n, 2 * n))
-    member = _members_up_to(m.data, max(m.data))
-    # g is an atom unless it splits as a sum of two nonzero members
-    return tuple(g for g in m.data
-                 if not any(member[a] and member[g - a] for a in range(1, g)))
+    """Atoms: the full interval [n, 2n-1]."""
+    return tuple(range(m.n, 2 * m.n))
 
 
 def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
@@ -117,10 +79,7 @@ class NmWitness:
 def nm_witness_non_absirred(m: NumericalMonoid, atom: int) -> NmWitness:
     """For an interval monoid with n >= 2: the power of an atom that also
     splits into copies of a different atom t."""
-    if m.kind != "interval":
-        raise ValueError("witness construction applies to interval monoids")
-    n = m.data[0]
-    if n == 1:
+    if m.n == 1:
         raise NoWitness("the n = 1 interval monoid is factorial")
     atoms = nm_atoms(m)
     if atom not in atoms:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from .abgroup import DEFAULT_NODE_BUDGET
@@ -49,6 +50,7 @@ class QuadRing:
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", index(self.d))
         if self.d >= 0:
             raise ValueError("d must be negative")
         if self.d % 4 not in (2, 3):
@@ -57,7 +59,7 @@ class QuadRing:
             raise ValueError("d must be squarefree")
 
     def element(self, a: int, b: int = 0) -> QuadInt:
-        return QuadInt(int(a), int(b))
+        return QuadInt(index(a), index(b))
 
     def sqrt_d(self) -> QuadInt:
         return QuadInt(0, 1)

@@ -16,8 +16,9 @@ The factorization table splits each factorization uniquely into its
 factorization of what the block leaves (see :func:`vector_factorizations`);
 each multiset of atoms is therefore produced exactly once.  Over atoms in
 lexicographic order, as an :class:`AtomSet` keeps them, every entry comes out
-as an ascending index tuple, so only the target's list is sorted, once; the
-``factor`` command reports these tuples as they are.  Length sets and
+as an ascending index tuple, so only the target's list is sorted, once.
+:func:`factorizations` returns that list as it is, and the ``factor``
+command reports its tuples as they are.  Length sets and
 elasticity list no factorization: their table holds length bitmasks and
 steps one atom of the first nonzero class at a time, so it reaches a
 multiset of atoms once for each of its atoms in that class and gives
@@ -27,6 +28,7 @@ lengths, not factorization counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -44,7 +46,6 @@ from .errors import (
     AtomNotInSet,
     BudgetExceeded,
     DimensionMismatch,
-    InfiniteGroupNoBound,
     NotZeroSum,
 )
 
@@ -73,7 +74,7 @@ class ClassSet:
         return len(self.classes)
 
     def sequence(self, exponents: Seq[int]) -> "Sequence":
-        return Sequence(self, tuple(int(e) for e in exponents))
+        return Sequence(self, tuple(map(operator.index, exponents)))
 
     def empty_sequence(self) -> "Sequence":
         return self.sequence((0,) * len(self.classes))
@@ -375,40 +376,8 @@ def enumerate_atoms(class_set: ClassSet,
     return AtomSet(class_set, atoms, cert)
 
 
-def atom_length_bound(class_set: ClassSet) -> int:
-    """Upper bound for atom lengths: the order of the (finite) torsion part.
-
-    Valid because the maximal length of a minimal zero-sum sequence over a
-    finite group never exceeds the group order.  Raises when any class has a
-    nonzero free part, since no uniform bound exists then.
-    """
-    if not _torsion_only(class_set.classes):
-        raise InfiniteGroupNoBound(
-            "class set touches the free part; supply an explicit bound")
-    return math.prod(class_set.group.torsion)
-
-
 # ---------------------------------------------------------------------------
 # factorizations
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Multiset of atom indices, stored sorted ascending."""
-
-    atom_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atom_indices", tuple(sorted(self.atom_indices)))
-
-    def __len__(self) -> int:
-        return len(self.atom_indices)
-
-    def product(self, atom_set: AtomSet) -> Sequence:
-        out = atom_set.class_set.empty_sequence()
-        for i in self.atom_indices:
-            out = out * atom_set[i]
-        return out
 
 
 def _packed(target: Seq[int], atom_vectors: Seq[tuple[int, ...]]) -> tuple:
@@ -569,7 +538,7 @@ def vector_length_mask(target: Seq[int],
     return table[top]
 
 
-def atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
+def _atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
     """The atoms' exponent vectors, in the atom set's (lexicographic) order,
     once b is known to be a zero-sum sequence over its class set; raises
     DimensionMismatch or NotZeroSum otherwise."""
@@ -581,15 +550,15 @@ def atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
 
 
 def factorizations(b: Sequence, atom_set: AtomSet,
-                   *, budget: int = DEFAULT_NODE_BUDGET) -> list[Factorization]:
-    """Complete, duplicate-free list of factorizations of b into atoms.
+                   *, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
+    """Complete, duplicate-free list of factorizations of b into atoms, each
+    an ascending tuple of atom indices, in lexicographic order: the table's
+    list from :func:`vector_factorizations`, as it is.
 
     The empty sequence has exactly the empty factorization.  Raises
     NotZeroSum unless sigma(b) = 0.
     """
-    vecs = atom_vectors_for(b, atom_set)
-    found = vector_factorizations(b.exponents, vecs, budget=budget)
-    return [Factorization(ix) for ix in found]
+    return vector_factorizations(b.exponents, _atom_vectors_for(b, atom_set), budget=budget)
 
 
 def length_set(b: Sequence, atom_set: AtomSet,
@@ -597,7 +566,7 @@ def length_set(b: Sequence, atom_set: AtomSet,
     """The lengths of the factorizations of b, from the length table (the
     factorizations themselves are not listed).  Raises NotZeroSum unless
     sigma(b) = 0."""
-    mask = vector_length_mask(b.exponents, atom_vectors_for(b, atom_set), budget=budget)
+    mask = vector_length_mask(b.exponents, _atom_vectors_for(b, atom_set), budget=budget)
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 

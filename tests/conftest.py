@@ -151,6 +151,15 @@ def brute_nonneg_kernel_exists(family, bound):
 
 SMALL_TORSIONS = ((), (2,), (3,), (2, 4), (6,))
 
+def atom_product(atom_set, indices):
+    """The exponent vector of the product of the atoms at ``indices`` (an
+    index may repeat), summed coordinate by coordinate."""
+    total = [0] * len(atom_set.class_set)
+    for i in indices:
+        total = [t + e for t, e in zip(total, atom_set[i].exponents)]
+    return tuple(total)
+
+
 # (n, target): the factor targets of the lengths benchmark workload
 # (perfbench/workloads.py), exponent vectors over B(Z/n \ 0), whose classes
 # are 1, ..., n - 1 in this order

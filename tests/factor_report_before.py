@@ -2,20 +2,53 @@
 factorization table: ``vector_factorizations``, which sorted every entry of
 the target's list, and ``cli._factor_payload``, which wrapped each
 factorization in a ``zsm.Factorization`` and copied it back into a list, kept
-verbatim (only renamed), with ``factorizations`` wired to that table
-(``atom_vectors_for`` was then named ``_factorable``).  Tests use them as
-references for the report bytes and the table's lists.
+verbatim (only renamed), with ``factorizations`` wired to that table.  The
+library no longer has ``Factorization`` or a public ``atom_vectors_for``
+(then named ``_factorable``), so this module keeps its own copies of both.
+Tests use these functions as references for the report bytes and the
+table's lists.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence as Seq
 
 from strongatoms import zsm
 from strongatoms.abgroup import DEFAULT_NODE_BUDGET
 from strongatoms.cli import _seq_dict
-from strongatoms.errors import BudgetExceeded
-from strongatoms.zsm import AtomSet, Factorization, Sequence, _blocks, _packed, atom_vectors_for
+from strongatoms.errors import BudgetExceeded, DimensionMismatch, NotZeroSum
+from strongatoms.zsm import AtomSet, Sequence, _blocks, _packed
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Multiset of atom indices, stored sorted ascending."""
+
+    atom_indices: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "atom_indices", tuple(sorted(self.atom_indices)))
+
+    def __len__(self) -> int:
+        return len(self.atom_indices)
+
+    def product(self, atom_set: AtomSet) -> Sequence:
+        out = atom_set.class_set.empty_sequence()
+        for i in self.atom_indices:
+            out = out * atom_set[i]
+        return out
+
+
+def atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
+    """The atoms' exponent vectors, in the atom set's (lexicographic) order,
+    once b is known to be a zero-sum sequence over its class set; raises
+    DimensionMismatch or NotZeroSum otherwise."""
+    if b.class_set != atom_set.class_set:
+        raise DimensionMismatch("sequence and atom set over different class sets")
+    if not b.is_zero_sum():
+        raise NotZeroSum(f"sigma of {b.exponents} is nonzero")
+    return [a.exponents for a in atom_set.atoms]
 
 
 def vector_factorizations_before(target: Seq[int],

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +19,9 @@ from strongatoms.abgroup import (
     zero_sum_columns,
 )
 from strongatoms.errors import BudgetExceeded, DimensionMismatch
+from strongatoms.nummon import NumericalMonoid
+from strongatoms.quadratic import QuadRing
+from strongatoms.zsm import ClassSet
 
 from completion_before_pruning import minimal_nonneg_kernel_before_pruning
 from conftest import (
@@ -59,6 +63,25 @@ def test_bad_group_arguments():
         FinGenAbelianGroup(0, (0,))
     with pytest.raises(ValueError):
         FinGenAbelianGroup(-1, ())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FinGenAbelianGroup(0, (2.5,)),
+    lambda: FinGenAbelianGroup.cyclic(2.5),
+    lambda: FinGenAbelianGroup(1.5),
+    lambda: C3.element((1.9,)),
+    lambda: ClassSet(Z2, (Z2.element((1, 0)), Z2.element((-1, 0)))).sequence(
+        (Fraction(7, 2), 0)),
+    lambda: QuadRing(-5).element(2.7, 0.5),
+    lambda: QuadRing(-5).element(2, 0.5),
+    lambda: QuadRing(-5.0),
+    lambda: NumericalMonoid.interval(2.5),
+], ids=["torsion", "cyclic", "free-rank", "element", "sequence", "quad-element",
+        "quad-element-b", "quad-ring", "interval"])
+def test_constructors_reject_non_integers(make):
+    # a float or Fraction is refused, never truncated to an int
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_element_reduction_and_arithmetic():

@@ -45,6 +45,7 @@ from strongatoms.quadratic import (
 from strongatoms.verify import signed_basis_class_set, signed_basis_spec
 from strongatoms.zsm import ClassSet, elasticity, enumerate_atoms, length_set
 
+from conftest import atom_product
 from factorization_search import search_power_absirred
 
 
@@ -127,10 +128,9 @@ def test_criterion_3_bg_all_absirred_small_orders():
     with Timer() as t:
         for n in range(1, 11):
             for group in abelian_groups_of_order(n):
-                rep = check_bg_all_absirred(group)
-                ok &= rep.all_absolutely_irreducible == (n <= 2)
-                if rep.witness is not None:
-                    w = rep.witness
+                w = check_bg_all_absirred(group)
+                ok &= (w is None) == (n <= 2)
+                if w is not None:
                     prod = w.class_set.empty_sequence()
                     for s in w.factors:
                         prod = prod * s
@@ -159,8 +159,8 @@ def test_criterion_4_criterion_agreement_suite():
                                 # search: u^1..u^4 factor only as powers of u
                                 ok &= search_power_absirred(u.exponents, vectors, 4)
                             else:
-                                p1 = w.standard.product(atoms).exponents
-                                p2 = w.different.product(atoms).exponents
+                                p1 = atom_product(atoms, w.standard)
+                                p2 = atom_product(atoms, w.different)
                                 ok &= p1 == p2 == (u ** w.n).exponents
                                 ok &= w.standard != w.different
                             if not ok:

@@ -634,7 +634,7 @@ def check_factor_against_library(path, seq_text):
     assert code == 0
     results = json.loads(out)["results"]
     assert [f["atom_indices"] for f in results["factorizations"]] == [
-        list(f.atom_indices) for f in facs]
+        list(f) for f in facs]
     assert all(set(f) == {"atom_indices"} for f in results["factorizations"])
     assert results["count"] == len(facs)
     assert results["lengths"] == sorted({len(f) for f in facs})

@@ -15,7 +15,6 @@ from strongatoms.errors import AtomNotInSet, BudgetExceeded
 from strongatoms.krull import (
     KrullSpec,
     RepeatedClassWitness,
-    SearchBounds,
     all_irreducibles_absirred,
     angermueller_check,
     brute_force_absirred,
@@ -40,7 +39,7 @@ from absirred_search_before_elimination import (
     exists_absirred_nonprime_before_elimination,
     is_absirred_kernel_before_elimination,
 )
-from conftest import small_families
+from conftest import atom_product, small_families
 from factorization_search import next_index_vector_factorizations, search_power_absirred
 from rational_relations_before import rational_relations
 
@@ -146,9 +145,10 @@ def test_witness_non_absirred_examples():
     t = cs3.sequence((1, 1))
     w = witness_non_absirred(t, atoms3)
     assert w is not None and w.n == 3
-    assert w.standard.product(atoms3).exponents == (t ** 3).exponents
-    assert w.different.product(atoms3).exponents == (t ** 3).exponents
-    assert w.standard != w.different
+    assert atom_product(atoms3, w.standard) == (t ** 3).exponents
+    assert atom_product(atoms3, w.different) == (t ** 3).exponents
+    assert w.standard == (atoms3.index(t),) * 3
+    assert w.different == tuple(sorted(w.different)) != w.standard
 
     g22 = FinGenAbelianGroup(0, (2, 2))
     nonzero = tuple(g for g in g22.elements() if not g.is_zero())
@@ -157,7 +157,7 @@ def test_witness_non_absirred_examples():
     t22 = cs22.sequence((1, 1, 1))
     w22 = witness_non_absirred(t22, atoms22)
     assert w22 is not None and w22.n == 2
-    assert sorted(len(atoms22[i]) for i in w22.different.atom_indices) == [2, 2, 2]
+    assert sorted(len(atoms22[i]) for i in w22.different) == [2, 2, 2]
 
     spec = signed_basis_spec(2)
     atoms = enumerate_atoms(spec.class_set)
@@ -222,8 +222,8 @@ def test_power_check_and_witness_match_factorization_search(cs):
             iv = atoms.atom_within_support(iu)
             cofactor = (u ** w.n / atoms[iv]).exponents
             first = next_index_vector_factorizations(cofactor, vectors, 1)
-            assert w.standard.atom_indices == (iu,) * w.n
-            assert w.different.atom_indices == tuple(sorted((iv,) + first[0]))
+            assert w.standard == (iu,) * w.n
+            assert w.different == tuple(sorted((iv,) + first[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,9 @@ def test_all_irreducibles_absirred_examples():
 def test_check_bg_all_absirred_small_orders():
     for n in range(1, 11):
         for group in abelian_groups_of_order(n):
-            rep = check_bg_all_absirred(group)
-            assert rep.all_absolutely_irreducible == (n <= 2)
-            if rep.witness is not None:
-                w = rep.witness
+            w = check_bg_all_absirred(group)
+            assert (w is None) == (n <= 2)
+            if w is not None:
                 prod = w.class_set.empty_sequence()
                 for s in w.factors:
                     prod = prod * s
@@ -260,12 +259,12 @@ def test_check_bg_all_absirred_small_orders():
 
 
 def test_check_bg_witness_shapes():
-    rep3 = check_bg_all_absirred(C3)
-    assert rep3.witness.power == 3
-    assert [s.exponents for s in rep3.witness.factors] == [(3, 0), (0, 3)]
-    rep22 = check_bg_all_absirred(FinGenAbelianGroup(0, (2, 2)))
-    assert rep22.witness.power == 2
-    assert len(rep22.witness.factors) == 3
+    w3 = check_bg_all_absirred(C3)
+    assert w3.power == 3
+    assert [s.exponents for s in w3.factors] == [(3, 0), (0, 3)]
+    w22 = check_bg_all_absirred(FinGenAbelianGroup(0, (2, 2)))
+    assert w22.power == 2
+    assert len(w22.factors) == 3
     with pytest.raises(ValueError):
         check_bg_all_absirred(Z1)
 
@@ -324,12 +323,11 @@ def test_absirred_search_family_count(spec, free_rank, families, found):
 
 
 def test_absirred_search_budget_reaches_the_classifier():
-    bounds = SearchBounds(support_bound=3, budget=5)
     with pytest.raises(BudgetExceeded, match="absirred-nonprime search exceeded 5 "
                                              "families at size 3"):
-        classify_scenario(signed_basis_spec(2), bounds)
+        classify_scenario(signed_basis_spec(2), 3, budget=5)
     with pytest.raises(BudgetExceeded, match="absirred-nonprime"):
-        angermueller_check(signed_basis_spec(2), bounds)
+        angermueller_check(signed_basis_spec(2), 3, budget=5)
 
 
 @st.composite
@@ -383,7 +381,7 @@ def test_classify_scenarios():
 
 def test_classify_undecided_within_bounds():
     # bound 1 cannot see the two-element witness families of the free spec
-    rep = classify_scenario(signed_basis_spec(2), SearchBounds(support_bound=1))
+    rep = classify_scenario(signed_basis_spec(2), 1)
     assert rep.has_absirred_nonprime is None
     assert rep.row_label == "(-,?,-)"
 
@@ -482,8 +480,7 @@ def test_angermueller_sweep_finite_specs():
                     for m in (1, 2):
                         spec = KrullSpec(cs, (m,) * len(cs))
                         bound = sum(spec.capped_mult())
-                        assert angermueller_check(
-                            spec, SearchBounds(support_bound=bound))
+                        assert angermueller_check(spec, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,17 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         NumericalMonoid.interval(0)
     with pytest.raises(ValueError):
-        NumericalMonoid.generated(2, 4)
-    with pytest.raises(ValueError):
-        NumericalMonoid.generated()
+        NumericalMonoid(-3)
+    assert NumericalMonoid.interval(5) == NumericalMonoid(5)
+    assert NumericalMonoid.interval(5).n == 5
 
 
 def test_membership():
     m2 = NumericalMonoid.interval(2)
     assert m2.contains(0) and m2.contains(2) and not m2.contains(1)
-    g = NumericalMonoid.generated(3, 5)
-    hits = [x for x in range(12) if g.contains(x)]
-    assert hits == [0, 3, 5, 6, 8, 9, 10, 11]
+    m5 = NumericalMonoid.interval(5)
+    hits = [x for x in range(-3, 12) if m5.contains(x)]
+    assert hits == [0, 5, 6, 7, 8, 9, 10, 11]
 
 
 def test_factorizations_examples():
@@ -102,86 +102,28 @@ def test_interval_1_factorial():
         assert nm_factorizations(m1, x) == [(1,) * x]
 
 
-def test_generated_minimal_generators():
-    assert nm_atoms(NumericalMonoid.generated(2, 3, 4)) == (2, 3)
-    assert nm_atoms(NumericalMonoid.generated(4, 6, 9)) == (4, 6, 9)
-    assert nm_atoms(NumericalMonoid.generated(3, 5, 7)) == (3, 5, 7)
-    assert nm_atoms(NumericalMonoid.generated(2, 5, 9)) == (2, 5)
-
-
-GENERATOR_SETS = [(3, 5), (4, 6, 9), (2, 5, 9, 11), (5, 7, 11, 13), (7, 11),
-                  (2, 3, 4), (2, 5, 9), (6, 10, 15), (1,), (1, 4, 9)]
-
-
-def sums_of_generators(gens, limit):
-    """Oracle: the values 0..limit reachable by adding generators, grown as a
-    set closure."""
-    reached = {0}
-    frontier = {0}
-    while frontier:
-        frontier = {v + g for v in frontier for g in gens if v + g <= limit} - reached
-        reached |= frontier
-    return reached
-
-
-@pytest.mark.parametrize("gens", GENERATOR_SETS)
-def test_generated_membership_and_atoms_match_closure(gens):
-    m = NumericalMonoid.generated(*gens)
-    reached = sums_of_generators(m.data, 60)
-    assert [x for x in range(-3, 61) if m.contains(x)] == sorted(reached)
-    # an atom is a generator that is no sum of two nonzero members
-    want = tuple(g for g in m.data
-                 if not any(a in reached and g - a in reached for a in range(1, g)))
-    assert nm_atoms(m) == want
-
-
 def test_membership_keeps_no_process_global_cache():
-    m = NumericalMonoid.generated(7, 11)
+    m = NumericalMonoid.interval(7)
     assert [m.contains(x) for x in range(1000, 1010)] == [True] * 10
     assert not [name for name, obj in vars(nummon).items() if hasattr(obj, "cache_info")]
 
 
-def test_generated_factorization_counts_match_dp():
-    cases = [
-        NumericalMonoid.generated(3, 5),
-        NumericalMonoid.generated(4, 6, 9),
-        NumericalMonoid.generated(2, 5, 9, 11),
-        NumericalMonoid.generated(5, 7, 11, 13),
-    ]
-    for m in cases:
-        atoms = nm_atoms(m)
-        for x in range(1, 41):
-            if m.contains(x):
-                assert len(nm_factorizations(m, x)) == count_representations(atoms, x)
-
-
-def test_generated_data_sorted_without_repeats():
-    # the constructor, not only NumericalMonoid.generated, normalizes the generators
-    assert NumericalMonoid("generated", (3, 2)) == NumericalMonoid.generated(2, 3)
-    assert NumericalMonoid("generated", (3, 2)).data == (2, 3)
-    assert nm_factorizations(NumericalMonoid("generated", (3, 2)), 2) == [(2,)]
-    repeated = NumericalMonoid("generated", (2, 2, 3))
-    assert repeated.data == (2, 3)
-    assert nm_atoms(repeated) == (2, 3)
-    assert nm_factorizations(repeated, 6) == [(2, 2, 2), (3, 3)]
-
-
-def test_generated_factorizations_sum_back():
-    m = NumericalMonoid.generated(4, 6, 9)
-    for x in (13, 18, 24, 31):
-        if m.contains(x):
-            for f in nm_factorizations(m, x):
-                assert sum(f) == x
-                assert all(a in nm_atoms(m) for a in f)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_interval_factorization_counts_match_dp(n):
+    m = NumericalMonoid.interval(n)
+    atoms = nm_atoms(m)
+    for x in range(1, 61):
+        if not m.contains(x):
+            continue
+        facs = nm_factorizations(m, x)
+        assert len(facs) == len(set(facs)) == count_representations(atoms, x)
+        for f in facs:
+            assert sum(f) == x and list(f) == sorted(f)
+            assert all(n <= a < 2 * n for a in f)
 
 
 def test_length_set_matches_listed_lengths():
-    monoids = [NumericalMonoid.interval(n) for n in (1, 2, 3, 4)] + [
-        NumericalMonoid.generated(3, 5),
-        NumericalMonoid.generated(4, 6, 9),
-        NumericalMonoid.generated(2, 5, 9, 11),
-    ]
-    for m in monoids:
+    for m in map(NumericalMonoid.interval, range(1, 8)):
         for x in range(1, 41):
             assert table_lengths(m, x) == (
                 {len(f) for f in nm_factorizations(m, x)} if m.contains(x) else set())

@@ -19,13 +19,10 @@ from strongatoms.errors import (
     AtomNotInSet,
     BudgetExceeded,
     DimensionMismatch,
-    InfiniteGroupNoBound,
     NotZeroSum,
 )
 from strongatoms.zsm import (
     ClassSet,
-    Factorization,
-    atom_length_bound,
     elasticity,
     enumerate_atoms,
     factorizations,
@@ -36,7 +33,7 @@ from strongatoms.zsm import (
     vector_length_mask,
 )
 
-from conftest import B_ZN_FACTOR_TARGETS
+from conftest import B_ZN_FACTOR_TARGETS, atom_product
 from factor_report_before import vector_factorizations_before
 from factorization_search import (
     next_index_vector_factorizations,
@@ -60,9 +57,10 @@ def signed_basis_set(n):
 
 def brute_force_atoms(cs, bound=None):
     """Oracle: every exponent vector up to the length bound, filtered by the
-    minimality test."""
+    minimality test.  The bound defaults to |G| (finite groups only): no
+    minimal zero-sum sequence over a finite group is longer."""
     if bound is None:
-        bound = atom_length_bound(cs)
+        bound = cs.group.cardinality()
     m = len(cs)
     out = set()
     for length in range(1, bound + 1):
@@ -448,19 +446,6 @@ def test_enumeration_sound_on_mixed_groups():
             assert exps == brute_force_atoms(cs, bound=maxlen)
 
 
-def test_atom_length_bound():
-    c6 = FinGenAbelianGroup.cyclic(6)
-    assert atom_length_bound(ClassSet(c6, (c6.element((1,)),))) == 6
-    g22 = FinGenAbelianGroup(0, (2, 2))
-    assert atom_length_bound(ClassSet(g22, tuple(g22.elements()))) == 4
-    with pytest.raises(InfiniteGroupNoBound):
-        atom_length_bound(signed_basis_set(2))
-    # torsion-only classes inside a mixed group still get the torsion bound
-    mixed = FinGenAbelianGroup(1, (4,))
-    cs = ClassSet(mixed, (mixed.element((0, 1)),))
-    assert atom_length_bound(cs) == 4
-
-
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -475,10 +460,21 @@ def test_factorizations_uv_example():
     assert len(facs) == 2
     lengths = {len(f) for f in facs}
     assert lengths == {2, 3}
-    products = [f.product(atoms).exponents for f in facs]
-    assert all(p == uv.exponents for p in products)
+    assert all(atom_product(atoms, f) == uv.exponents for f in facs)
     iu, iv = atoms.index(u), atoms.index(v)
-    assert Factorization((iu, iv)) in facs
+    assert tuple(sorted((iu, iv))) in facs
+
+
+def test_factorizations_is_the_table_list():
+    # zsm.factorizations hands back vector_factorizations' list as it is:
+    # ascending index tuples in lexicographic order
+    cs = signed_basis_set(2)
+    atoms = enumerate_atoms(cs)
+    b = cs.sequence((2, 2, 2, 2, 2, 2))
+    facs = factorizations(b, atoms)
+    assert facs == vector_factorizations(b.exponents, [a.exponents for a in atoms])
+    assert facs == sorted(facs) and len(facs) > 2
+    assert all(type(f) is tuple and f == tuple(sorted(f)) for f in facs)
 
 
 def test_factorizations_t_cubed():
@@ -489,16 +485,16 @@ def test_factorizations_t_cubed():
     it = atoms.index(t)
     ig3 = atoms.index(cs.sequence((3, 0)))
     ih3 = atoms.index(cs.sequence((0, 3)))
-    assert Factorization((it, it, it)) in facs
-    assert Factorization((ig3, ih3)) in facs
+    assert (it, it, it) in facs
+    assert tuple(sorted((ig3, ih3))) in facs
 
 
 def test_factorization_of_single_atom_and_empty():
     cs = ClassSet(C3, (C3.element((1,)),))
     atoms = enumerate_atoms(cs)
     facs = factorizations(cs.sequence((3,)), atoms)
-    assert facs == [Factorization((0,))]
-    assert factorizations(cs.empty_sequence(), atoms) == [Factorization(())]
+    assert facs == [(0,)]
+    assert factorizations(cs.empty_sequence(), atoms) == [()]
 
 
 def test_factorizations_not_zero_sum():
@@ -995,10 +991,11 @@ def test_random_atom_products_factor_back():
             v = atoms[rng.randrange(len(atoms))]
             uv = u * v
             facs = factorizations(uv, atoms)
-            assert Factorization(tuple(sorted((atoms.index(u), atoms.index(v))))) in facs
+            assert tuple(sorted((atoms.index(u), atoms.index(v)))) in facs
             for f in facs:
                 assert len(f) >= 2 or uv.is_empty()
-                assert f.product(atoms).exponents == uv.exponents
+                assert f == tuple(sorted(f))
+                assert atom_product(atoms, f) == uv.exponents
 
 
 def test_length_set_and_elasticity():
