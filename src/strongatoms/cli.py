@@ -6,11 +6,15 @@ keys, which is the stability contract (timing is shown only in human mode so
 machine reports are byte-identical across runs).  A machine report is exactly
 ``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline:
 one compact, ASCII-only line from the standard library's C encoder.  Report
-version 2 lists each ``factor`` factorization by its ``atom_indices`` alone;
-``results["atoms"]`` gives the atoms those indices refer to.  Those rows are
-the ascending index tuples of :func:`strongatoms.zsm.factorizations` as the
-table lists them (over atoms in lexicographic order, no entry is sorted
-again), and the report's lengths are the tuples' lengths.
+version 3 gives every sequence (an atom, or the sequence factored) as its
+``exponents`` alone, beside the verdicts on it; human mode derives each
+display, length and support from the exponents and ``inputs.spec.labels``
+when it prints.  ``factor`` lists each factorization by its
+``atom_indices``, into ``results["atoms"]``: the ascending index tuples of
+:func:`strongatoms.zsm.factorizations` as the table lists them (over atoms
+in lexicographic order, no entry is sorted again), and the report's lengths
+are the tuples' lengths.  ``atoms`` reads every verdict from the atom set's
+one support sweep (:attr:`strongatoms.zsm.AtomSet.support_minimal`).
 ``build_parser`` builds the parser once per process; in-process callers of
 ``main`` share it.
 
@@ -40,12 +44,12 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
-def _display(seq: zsm.Sequence, labels) -> str:
+def _display(exponents, labels) -> str:
     parts = []
-    for i, e in enumerate(seq.exponents):
+    for i, e in enumerate(exponents):
         if e == 1:
             parts.append(labels[i])
         elif e > 1:
@@ -53,13 +57,8 @@ def _display(seq: zsm.Sequence, labels) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _seq_dict(seq: zsm.Sequence, labels) -> dict:
-    return {
-        "exponents": list(seq.exponents),
-        "length": len(seq),
-        "support": [labels[i] for i in seq.support_indices()],
-        "display": _display(seq, labels),
-    }
+def _row(seq: zsm.Sequence) -> dict:
+    return {"exponents": list(seq.exponents)}
 
 
 def parse_sequence(text: str, class_set: zsm.ClassSet, labels) -> zsm.Sequence:
@@ -96,23 +95,20 @@ def _digits(s: str) -> bool:
 # subcommand payloads
 
 
-def _atoms_payload(spec, labels, budget):
+def _atoms_payload(spec, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
-    rows = []
-    for a in atoms:
-        entry = _seq_dict(a, labels)
-        entry["absolutely_irreducible"] = krull.is_absirred_support(a, atoms)
-        rows.append(entry)
+    rows = [{"exponents": list(a.exponents), "absolutely_irreducible": minimal}
+            for a, minimal in zip(atoms, atoms.support_minimal)]
     return {"atoms": rows, "count": len(rows),
             "certificate": dict(atoms.certificate)}
 
 
-def _factor_payload(spec, labels, seq, budget):
+def _factor_payload(spec, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = zsm.factorizations(seq, atoms, budget=budget)
     payload = {
-        "sequence": _seq_dict(seq, labels),
-        "atoms": [_seq_dict(a, labels) for a in atoms],
+        "sequence": _row(seq),
+        "atoms": [_row(a) for a in atoms],
         "factorizations": [{"atom_indices": f} for f in facs],
         "count": len(facs),
         "lengths": sorted({len(f) for f in facs}),
@@ -122,18 +118,18 @@ def _factor_payload(spec, labels, seq, budget):
     return payload
 
 
-def _lengths_payload(spec, labels, seq, budget):
+def _lengths_payload(spec, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     lengths = sorted(zsm.length_set(seq, atoms, budget=budget))
-    return {"sequence": _seq_dict(seq, labels), "lengths": lengths,
+    return {"sequence": _row(seq), "lengths": lengths,
             "elasticity": str(zsm.length_set_elasticity(lengths)) if lengths else None}
 
 
-def _absirred_payload(spec, labels, seq, budget, nmax):
+def _absirred_payload(spec, seq, budget, nmax):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
 
     def verdict(a):
-        entry = _seq_dict(a, labels)
+        entry = _row(a)
         entry["support_criterion"] = krull.is_absirred_support(a, atoms)
         entry["kernel_criterion"] = krull.is_absirred_kernel(spec.group, a.support())
         w = krull.witness_non_absirred(a, atoms)
@@ -224,22 +220,26 @@ def _emit(report: dict, machine: bool, elapsed: float):
     print(f"command: {report['command']}")
     results = report["results"]
     cmd = report["command"]
+
+    def display(row):
+        return _display(row["exponents"], report["inputs"]["spec"]["labels"])
+
     if cmd == "atoms":
         print(f"{results['count']} atoms")
         for i, a in enumerate(results["atoms"]):
             mark = "absolutely irreducible" if a["absolutely_irreducible"] else "NOT absolutely irreducible"
-            print(f"  [{i}] {a['display']:<30} length {a['length']:<3} {mark}")
+            print(f"  [{i}] {display(a):<30} length {sum(a['exponents']):<3} {mark}")
     elif cmd in ("factor", "lengths"):
         if "factorizations" in results:
-            print(f"{results['count']} factorizations of {results['sequence']['display']}")
-            shown = [f"({a['display']})" for a in results["atoms"]]
+            print(f"{results['count']} factorizations of {display(results['sequence'])}")
+            shown = [f"({display(a)})" for a in results["atoms"]]
             for f in results["factorizations"]:
                 print("  " + (" * ".join(shown[i] for i in f["atom_indices"]) or "1"))
         print(f"lengths: {results['lengths']}  elasticity: {results.get('elasticity')}")
     elif cmd == "absirred":
         for a in results["atoms"]:
             ok = a["support_criterion"]
-            print(f"  {a['display']:<30} absolutely irreducible: {ok}")
+            print(f"  {display(a):<30} absolutely irreducible: {ok}")
             if a["witness"]:
                 print(f"      witness: n={a['witness']['n']} "
                       f"indices {a['witness']['different']}")
@@ -349,18 +349,18 @@ def main(argv=None) -> int:
         report["inputs"] = {"spec": spec_to_dict(spec, labels)}
         if args.command == "atoms":
             report["inputs"]["options"] = {"budget": args.budget}
-            report["results"] = _atoms_payload(spec, labels, args.budget)
+            report["results"] = _atoms_payload(spec, args.budget)
         elif args.command in ("factor", "lengths"):
             seq = parse_sequence(args.sequence, spec.class_set, labels)
             report["inputs"]["options"] = {"budget": args.budget,
                                            "sequence": list(seq.exponents)}
             fn = _factor_payload if args.command == "factor" else _lengths_payload
-            report["results"] = fn(spec, labels, seq, args.budget)
+            report["results"] = fn(spec, seq, args.budget)
         elif args.command == "absirred":
             seq = (parse_sequence(args.sequence, spec.class_set, labels)
                    if args.sequence else None)
             report["inputs"]["options"] = {"budget": args.budget, "nmax": args.nmax}
-            report["results"] = _absirred_payload(spec, labels, seq, args.budget, args.nmax)
+            report["results"] = _absirred_payload(spec, seq, args.budget, args.nmax)
         elif args.command == "classify":
             report["inputs"]["options"] = {"support_bound": args.bound,
                                            "budget": args.budget}

@@ -8,10 +8,11 @@ criterion decided here depends only on class values and on the distinction
 capped at 2 for the existence searches.
 
 Three routes to absolute irreducibility of an atom are implemented and kept
-in agreement: support minimality within the atom set, the kernel criterion on
-the support family (nonnegative dependence of the whole family, integer
-independence of every proper subfamily), and explicit power-factorization
-witnesses, whose two factorizations are ascending tuples of atom indices as
+in agreement: support minimality within the atom set (decided for every atom
+at once by ``AtomSet.support_minimal``), the kernel criterion on the support
+family (nonnegative dependence of the whole family, integer independence of
+every proper subfamily), and explicit power-factorization witnesses, whose
+two factorizations are ascending tuples of atom indices as
 ``zsm.factorizations`` lists them.  A power check over small powers
 cross-checks them: u**n has a second factorization exactly when another atom
 divides it, so one divisibility scan of u**n_max decides every n up to
@@ -91,8 +92,9 @@ class KrullSpec:
 
 
 def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
-    """True iff u is the unique atom whose support is contained in supp(u)."""
-    return atom_set.atom_within_support(atom_set.index(u)) is None
+    """True iff u is the unique atom whose support is contained in supp(u),
+    read from the atom set's one sweep (:attr:`AtomSet.support_minimal`)."""
+    return atom_set.support_minimal[atom_set.index(u)]
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
@@ -136,12 +138,13 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     factorization.  v with that factorization is an ascending index tuple as
     built: every atom the greedy pass takes lies inside supp(u) and is not u
     (u dividing u**n / v would make v divide u**(n-1)), so its index is at
-    least v's.  Returns None exactly when u has minimal support.
+    least v's.  Returns None exactly when u has minimal support, as the atom
+    set's sweep says, before any atom is scanned.
     """
     iu = atom_set.index(u)
-    iv = atom_set.atom_within_support(iu)
-    if iv is None:
+    if atom_set.support_minimal[iu]:
         return None
+    iv = atom_set.atom_within_support(iu)
     v = atom_set[iv]
     n = max(-(-v.exponents[j] // u.exponents[j]) for j in v.support_indices())
     rem = list((u ** n / v).exponents)
@@ -196,8 +199,8 @@ def all_irreducibles_absirred(spec: KrullSpec,
     """
     atom_set = enumerate_atoms(spec.class_set, budget=budget)
     g1 = set(spec.g1_indices())
-    for i, u in enumerate(atom_set):
-        if atom_set.atom_within_support(i) is not None:
+    for u, minimal in zip(atom_set, atom_set.support_minimal):
+        if not minimal:
             return AllAbsirredReport(False, atom_set, u, "support-minimality")
         for j, e in enumerate(u.exponents):
             if e > 1 and j not in g1:

@@ -42,7 +42,9 @@ def nm_atoms(m: NumericalMonoid) -> tuple[int, ...]:
 
 
 def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
-    """All multisets of atoms summing to x, each as a sorted tuple."""
+    """All multisets of atoms summing to x, each as a sorted tuple.  x is
+    coerced with ``operator.index``."""
+    x = index(x)
     if x <= 0 or not m.contains(x):
         raise NotMember(f"{x} is not a positive element of the monoid")
     atoms = nm_atoms(m)

@@ -36,10 +36,16 @@ def _is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """a + b*sqrt(d); the ring supplies d."""
+    """a + b*sqrt(d); the ring supplies d.  Both coefficients are coerced
+    with ``operator.index``."""
 
     a: int
     b: int
+
+    def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:   # arithmetic makes ints
+            object.__setattr__(self, "a", index(self.a))
+            object.__setattr__(self, "b", index(self.b))
 
     def __repr__(self) -> str:
         return f"QuadInt({self.a}, {self.b})"
@@ -59,7 +65,7 @@ class QuadRing:
             raise ValueError("d must be squarefree")
 
     def element(self, a: int, b: int = 0) -> QuadInt:
-        return QuadInt(index(a), index(b))
+        return QuadInt(a, b)
 
     def sqrt_d(self) -> QuadInt:
         return QuadInt(0, 1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -74,7 +75,7 @@ class ClassSet:
         return len(self.classes)
 
     def sequence(self, exponents: Seq[int]) -> "Sequence":
-        return Sequence(self, tuple(map(operator.index, exponents)))
+        return Sequence(self, exponents)
 
     def empty_sequence(self) -> "Sequence":
         return self.sequence((0,) * len(self.classes))
@@ -88,15 +89,18 @@ class ClassSet:
 
 @dataclass(frozen=True)
 class Sequence:
-    """Element of the free abelian monoid over a class set (an exponent vector)."""
+    """Element of the free abelian monoid over a class set (an exponent vector).
+    Exponents are coerced with ``operator.index``, so a float or ``Fraction``
+    raises TypeError instead of being kept."""
 
     class_set: ClassSet
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "exponents", tuple(map(operator.index, self.exponents)))
         if len(self.exponents) != len(self.class_set):
             raise DimensionMismatch("exponent vector length does not match class set")
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:     # the class set, so the vector, is nonempty
             raise ValueError("exponents must be nonnegative")
 
     def sigma(self) -> GroupElement:
@@ -129,6 +133,7 @@ class Sequence:
                         tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, n: int) -> "Sequence":
+        n = operator.index(n)
         if n < 0:
             raise ValueError("negative power of a sequence")
         return Sequence(self.class_set, tuple(n * e for e in self.exponents))
@@ -193,7 +198,9 @@ class AtomSet:
     """Complete list of atoms of the zero-sum monoid over a class set.
 
     Atoms are stored in lexicographic exponent order, which fixes the indices
-    used by factorizations and reports.
+    used by factorizations and reports.  :attr:`support_minimal` decides for
+    every atom at once whether it is the only atom whose support lies in its
+    own, with one sweep over the distinct supports that is kept with the set.
     """
 
     class_set: ClassSet
@@ -220,6 +227,26 @@ class AtomSet:
     def support_masks(self) -> tuple[int, ...]:
         """The support of each atom as a bitmask over class indices."""
         return tuple(support_mask(a.exponents) for a in self.atoms)
+
+    @cached_property
+    def support_minimal(self) -> tuple[bool, ...]:
+        """For each atom, True iff no other atom's support lies inside its own.
+
+        The distinct support masks are swept in increasing popcount, keeping
+        each mask that holds no kept mask: a mask is kept exactly when no
+        other support lies strictly inside it, since a support that is not
+        kept holds a kept one.  An atom is support-minimal iff its mask was
+        kept and no other atom shares it.  (The relations on a minimal
+        support form a rank-1 lattice, so in the atom set of a class set a
+        kept mask belongs to one atom; a set built by hand may repeat it.)
+        """
+        shared = Counter(self.support_masks)
+        kept: list[int] = []
+        for m in sorted(shared, key=int.bit_count):
+            if all(k & ~m for k in kept):
+                kept.append(m)
+        unique = {m for m in kept if shared[m] == 1}
+        return tuple(m in unique for m in self.support_masks)
 
     def atom_within_support(self, i: int) -> int | None:
         """Index of the first other atom whose support lies in atom i's, or None."""

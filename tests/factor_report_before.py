@@ -4,9 +4,10 @@ the target's list, and ``cli._factor_payload``, which wrapped each
 factorization in a ``zsm.Factorization`` and copied it back into a list, kept
 verbatim (only renamed), with ``factorizations`` wired to that table.  The
 library no longer has ``Factorization`` or a public ``atom_vectors_for``
-(then named ``_factorable``), so this module keeps its own copies of both.
-Tests use these functions as references for the report bytes and the
-table's lists.
+(then named ``_factorable``), and report version 3 dropped the ``length``,
+``support`` and ``display`` fields of ``cli._seq_dict``, so this module keeps
+its own copies of those (the version-2 row as ``seq_dict_v2``).  Tests use
+these functions as references for the report bytes and the table's lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence as Seq
 
 from strongatoms import zsm
 from strongatoms.abgroup import DEFAULT_NODE_BUDGET
-from strongatoms.cli import _seq_dict
 from strongatoms.errors import BudgetExceeded, DimensionMismatch, NotZeroSum
 from strongatoms.zsm import AtomSet, Sequence, _blocks, _packed
 
@@ -38,6 +38,25 @@ class Factorization:
         for i in self.atom_indices:
             out = out * atom_set[i]
         return out
+
+
+def display_v2(seq: Sequence, labels) -> str:
+    parts = []
+    for i, e in enumerate(seq.exponents):
+        if e == 1:
+            parts.append(labels[i])
+        elif e > 1:
+            parts.append(f"{labels[i]}^{e}")
+    return " ".join(parts) if parts else "1"
+
+
+def seq_dict_v2(seq: Sequence, labels) -> dict:
+    return {
+        "exponents": list(seq.exponents),
+        "length": len(seq),
+        "support": [labels[i] for i in seq.support_indices()],
+        "display": display_v2(seq, labels),
+    }
 
 
 def atom_vectors_for(b: Sequence, atom_set: AtomSet) -> list[tuple[int, ...]]:
@@ -113,8 +132,8 @@ def factor_payload_before(spec, labels, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = factorizations_before(seq, atoms, budget=budget)
     payload = {
-        "sequence": _seq_dict(seq, labels),
-        "atoms": [_seq_dict(a, labels) for a in atoms],
+        "sequence": seq_dict_v2(seq, labels),
+        "atoms": [seq_dict_v2(a, labels) for a in atoms],
         "factorizations": [{"atom_indices": list(f.atom_indices)} for f in facs],
         "count": len(facs),
         "lengths": sorted({len(f) for f in facs}),
@@ -122,3 +141,13 @@ def factor_payload_before(spec, labels, seq, budget):
     if facs:
         payload["elasticity"] = str(zsm.length_set_elasticity(payload["lengths"]))
     return payload
+
+
+def factor_lines_v2(results):
+    """The lines of a ``factor`` report that version 2's human mode printed
+    between the command line and the timing line, from the rows' displays."""
+    shown = [f"({a['display']})" for a in results["atoms"]]
+    return [f"{results['count']} factorizations of {results['sequence']['display']}",
+            *("  " + (" * ".join(shown[i] for i in f["atom_indices"]) or "1")
+              for f in results["factorizations"]),
+            f"lengths: {results['lengths']}  elasticity: {results.get('elasticity')}"]

@@ -19,9 +19,10 @@ from strongatoms.abgroup import (
     zero_sum_columns,
 )
 from strongatoms.errors import BudgetExceeded, DimensionMismatch
-from strongatoms.nummon import NumericalMonoid
-from strongatoms.quadratic import QuadRing
-from strongatoms.zsm import ClassSet
+from strongatoms.krull import brute_force_absirred
+from strongatoms.nummon import NumericalMonoid, nm_factorizations
+from strongatoms.quadratic import QuadInt, QuadRing
+from strongatoms.zsm import ClassSet, Sequence, enumerate_atoms
 
 from completion_before_pruning import minimal_nonneg_kernel_before_pruning
 from conftest import (
@@ -65,6 +66,9 @@ def test_bad_group_arguments():
         FinGenAbelianGroup(-1, ())
 
 
+C3_PAIR = ClassSet(C3, (C3.element((1,)), C3.element((2,))))
+
+
 @pytest.mark.parametrize("make", [
     lambda: FinGenAbelianGroup(0, (2.5,)),
     lambda: FinGenAbelianGroup.cyclic(2.5),
@@ -76,12 +80,33 @@ def test_bad_group_arguments():
     lambda: QuadRing(-5).element(2, 0.5),
     lambda: QuadRing(-5.0),
     lambda: NumericalMonoid.interval(2.5),
+    lambda: Sequence(C3_PAIR, (1.5, 0)),
+    lambda: Sequence(C3_PAIR, (Fraction(3), 0)),
+    lambda: C3_PAIR.sequence((1, 1)) ** 1.5,
+    lambda: brute_force_absirred(C3_PAIR.sequence((1, 1)), enumerate_atoms(C3_PAIR), 2.5),
+    lambda: QuadInt(1.5, 0),
+    lambda: QuadInt(1, Fraction(1, 2)),
+    lambda: nm_factorizations(NumericalMonoid(2), 6.0),
 ], ids=["torsion", "cyclic", "free-rank", "element", "sequence", "quad-element",
-        "quad-element-b", "quad-ring", "interval"])
+        "quad-element-b", "quad-ring", "interval", "sequence-direct-float",
+        "sequence-direct-fraction", "power", "brute-force-nmax", "quadint-a", "quadint-b",
+        "nm-factorizations"])
 def test_constructors_reject_non_integers(make):
-    # a float or Fraction is refused, never truncated to an int
+    # a float or Fraction is refused, never truncated or kept as an exponent
+    # (the power check would answer n_max = 2.5 from u ** 2.5)
     with pytest.raises(TypeError):
         make()
+
+
+def test_integer_like_values_become_plain_ints():
+    class Three:
+        def __index__(self):
+            return 3
+    s = Sequence(C3_PAIR, [Three(), True])
+    assert s.exponents == (3, 1) and type(s.exponents) is tuple
+    assert all(type(e) is int for e in (s ** Three()).exponents)
+    assert QuadInt(Three(), False) == QuadInt(3, 0)
+    assert nm_factorizations(NumericalMonoid(2), Three()) == [(3,)]
 
 
 def test_element_reduction_and_arithmetic():

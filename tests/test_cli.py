@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -17,7 +18,7 @@ from strongatoms.cli import EXIT_INTERNAL, _display, build_parser, main, parse_s
 from strongatoms.specfile import SpecFileError, load_spec, parse_spec_dict, spec_to_dict
 
 from conftest import B_ZN_FACTOR_TARGETS
-from factor_report_before import factor_payload_before
+from factor_report_before import factor_lines_v2, factor_payload_before
 
 CYCLIC3_SPEC = """{
   "group": {"free_rank": 0, "torsion": [3]},
@@ -35,7 +36,7 @@ SIGNED_BASIS_SPEC = """{
 }
 """
 
-GOLDEN_ATOMS_REPORT = (
+GOLDEN_ATOMS_REPORT_V2 = (
     '{"command":"atoms","inputs":{"options":{"budget":10000000},'
     '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
     '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
@@ -50,7 +51,7 @@ GOLDEN_ATOMS_REPORT = (
     '"node_budget":10000000},"count":3},"status":"ok"}\n'
 )
 
-GOLDEN_FACTOR_REPORT = (
+GOLDEN_FACTOR_REPORT_V2 = (
     '{"command":"factor","inputs":{"options":{"budget":10000000,"sequence":[3,3]},'
     '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
     '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
@@ -63,6 +64,65 @@ GOLDEN_FACTOR_REPORT = (
     '"lengths":[2,3],'
     '"sequence":{"display":"g^3 2g^3","exponents":[3,3],"length":6,"support":["g","2g"]}},'
     '"status":"ok"}\n'
+)
+
+GOLDEN_LENGTHS_REPORT_V2 = (
+    '{"command":"lengths","inputs":{"options":{"budget":10000000,"sequence":[3,3]},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
+    '"results":{"elasticity":"3/2","lengths":[2,3],'
+    '"sequence":{"display":"g^3 2g^3","exponents":[3,3],"length":6,"support":["g","2g"]}},'
+    '"status":"ok"}\n'
+)
+
+GOLDEN_ABSIRRED_REPORT_V2 = (
+    '{"command":"absirred","inputs":{"options":{"budget":10000000,"nmax":3},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":2,'
+    '"results":{"atoms":[{"brute_force_up_to_nmax":false,"display":"g 2g",'
+    '"exponents":[1,1],"kernel_criterion":false,"length":2,"support":["g","2g"],'
+    '"support_criterion":false,'
+    '"witness":{"different":[0,2],"n":3,"standard":[1,1,1]}}]},"status":"ok"}\n'
+)
+
+# Version 3: every sequence row carries its exponents and verdicts only.
+GOLDEN_ATOMS_REPORT = (
+    '{"command":"atoms","inputs":{"options":{"budget":10000000},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":3,'
+    '"results":{"atoms":['
+    '{"absolutely_irreducible":true,"exponents":[0,3]},'
+    '{"absolutely_irreducible":false,"exponents":[1,1]},'
+    '{"absolutely_irreducible":true,"exponents":[3,0]}],'
+    '"certificate":{"columns":2,"group_order":3,"method":"zero-sum-free-search",'
+    '"node_budget":10000000},"count":3},"status":"ok"}\n'
+)
+
+GOLDEN_FACTOR_REPORT = (
+    '{"command":"factor","inputs":{"options":{"budget":10000000,"sequence":[3,3]},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":3,'
+    '"results":{"atoms":[{"exponents":[0,3]},{"exponents":[1,1]},{"exponents":[3,0]}],'
+    '"count":2,"elasticity":"3/2",'
+    '"factorizations":[{"atom_indices":[0,2]},{"atom_indices":[1,1,1]}],'
+    '"lengths":[2,3],"sequence":{"exponents":[3,3]}},"status":"ok"}\n'
+)
+
+GOLDEN_LENGTHS_REPORT = (
+    '{"command":"lengths","inputs":{"options":{"budget":10000000,"sequence":[3,3]},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":3,'
+    '"results":{"elasticity":"3/2","lengths":[2,3],"sequence":{"exponents":[3,3]}},'
+    '"status":"ok"}\n'
+)
+
+GOLDEN_ABSIRRED_REPORT = (
+    '{"command":"absirred","inputs":{"options":{"budget":10000000,"nmax":3},'
+    '"spec":{"classes":[[1],[2]],"group":{"free_rank":0,"torsion":[3]},'
+    '"labels":["g","2g"],"mult":[1,1]}},"report_version":3,'
+    '"results":{"atoms":[{"brute_force_up_to_nmax":false,"exponents":[1,1],'
+    '"kernel_criterion":false,"support_criterion":false,'
+    '"witness":{"different":[0,2],"n":3,"standard":[1,1,1]}}]},"status":"ok"}\n'
 )
 
 # The same atoms report in report version 1 (indented), for the content check.
@@ -181,13 +241,34 @@ def run_redirected(*argv):
     return code, out.getvalue()
 
 
+def v3_of_v2(report: dict) -> dict:
+    """A version-2 report as version 3: each sequence row (``results["atoms"]``
+    and ``results["sequence"]``) less its ``length``, ``support`` and
+    ``display``, which version 2 carried on every row."""
+    report = copy.deepcopy(report)
+    report["report_version"] = 3
+    results = report["results"]
+    rows = list(results.get("atoms", []))
+    if "sequence" in results:
+        rows.append(results["sequence"])
+    for row in rows:
+        for key in ("length", "support", "display"):
+            del row[key]
+    return report
+
+
+def assert_golden(out, v2, v3):
+    assert out == v3
+    assert json.loads(v3) == v3_of_v2(json.loads(v2))
+
+
 def test_atoms_machine_golden(cyclic3, capsys):
     code, out = run_cli(capsys, "atoms", "--spec", cyclic3, "--machine")
     assert code == 0
-    assert out == GOLDEN_ATOMS_REPORT
+    assert_golden(out, GOLDEN_ATOMS_REPORT_V2, GOLDEN_ATOMS_REPORT)
     # version 2 changed the encoding of this report, not its content
     v1 = json.loads(GOLDEN_ATOMS_REPORT_V1)
-    v2 = json.loads(out)
+    v2 = json.loads(GOLDEN_ATOMS_REPORT_V2)
     assert (v1.pop("report_version"), v2.pop("report_version")) == (1, 2)
     assert v1 == v2
 
@@ -196,7 +277,21 @@ def test_factor_machine_golden(cyclic3, capsys):
     code, out = run_cli(capsys, "factor", "--spec", cyclic3, "--sequence", "g^3,2g^3",
                         "--machine")
     assert code == 0
-    assert out == GOLDEN_FACTOR_REPORT
+    assert_golden(out, GOLDEN_FACTOR_REPORT_V2, GOLDEN_FACTOR_REPORT)
+
+
+def test_lengths_machine_golden(cyclic3, capsys):
+    code, out = run_cli(capsys, "lengths", "--spec", cyclic3, "--sequence", "g^3,2g^3",
+                        "--machine")
+    assert code == 0
+    assert_golden(out, GOLDEN_LENGTHS_REPORT_V2, GOLDEN_LENGTHS_REPORT)
+
+
+def test_absirred_machine_golden(cyclic3, capsys):
+    code, out = run_cli(capsys, "absirred", "--spec", cyclic3, "--sequence", "g,2g",
+                        "--nmax", "3", "--machine")
+    assert code == 0
+    assert_golden(out, GOLDEN_ABSIRRED_REPORT_V2, GOLDEN_ABSIRRED_REPORT)
 
 
 def test_machine_reports_deterministic(signed_basis, capsys):
@@ -639,13 +734,13 @@ def check_factor_against_library(path, seq_text):
     assert results["count"] == len(facs)
     assert results["lengths"] == sorted({len(f) for f in facs})
     assert results["elasticity"] == str(zsm.length_set_elasticity(len(f) for f in facs))
-    assert [a["exponents"] for a in results["atoms"]] == [list(a.exponents) for a in atoms]
-    assert [a["display"] for a in results["atoms"]] == [_display(a, labels) for a in atoms]
+    assert results["atoms"] == [{"exponents": list(a.exponents)} for a in atoms]
+    assert results["sequence"] == {"exponents": list(seq.exponents)}
 
     code, out = run_redirected("factor", "--spec", str(path), "--sequence", seq_text)
     assert code == 0
     lines = human_lines(out)
-    assert lines[1] == f"{len(facs)} factorizations of {_display(seq, labels)}"
+    assert lines[1] == f"{len(facs)} factorizations of {_display(seq.exponents, labels)}"
     exponents = [a["exponents"] for a in results["atoms"]]
     assert lines[2:-1] == [
         "  " + v1_factorization_display(exponents, f["atom_indices"], labels)
@@ -672,7 +767,8 @@ def test_factor_report_matches_library_on_generated_sequences(name, multipliciti
 
 
 # factor reports against the report as it was built before its rows came
-# straight from the factorization table (factor_report_before)
+# straight from the factorization table and lost their version-2 fields
+# (factor_report_before)
 
 
 def factor_reports(path, sequence):
@@ -687,9 +783,21 @@ def factor_reports(path, sequence):
 
 
 def assert_factor_reports_as_before(path, sequence):
-    reports = factor_reports(path, sequence)
-    with mock.patch.object(cli, "_factor_payload", factor_payload_before):
-        assert factor_reports(path, sequence) == reports
+    """The machine report is the version-2 report built the old way, less the
+    fields version 3 dropped, byte for byte; the human lines are the ones
+    version 2 printed from its ``display`` fields."""
+    machine, human = factor_reports(path, sequence)
+    _, labels = load_spec(path)
+
+    def payload(spec, seq, budget):
+        return factor_payload_before(spec, labels, seq, budget)
+    with mock.patch.object(cli, "_factor_payload", payload):
+        code, before = run_redirected("factor", "--spec", str(path), "--sequence", sequence,
+                                      "--machine")
+    assert code == 0
+    before = json.loads(before)
+    assert machine == json.dumps(v3_of_v2(before), sort_keys=True, separators=(",", ":")) + "\n"
+    assert human == ["command: factor", *factor_lines_v2(before["results"])]
 
 
 FACTOR_REPORT_GROUPS = (
@@ -792,6 +900,20 @@ def test_lengths_human_output(signed_basis, capsys):
                         "--sequence", "e1,e2,-f,-e1,-e2,f")
     assert code == 0
     assert human_lines(out) == ["command: lengths", "lengths: [2, 3]  elasticity: 3/2"]
+
+
+def test_atoms_human_output(cyclic3, capsys):
+    # lines printed by the report-version-2 CLI from each row's display and
+    # length; version 3 derives both from the exponents and the spec labels
+    code, out = run_cli(capsys, "atoms", "--spec", cyclic3)
+    assert code == 0
+    assert human_lines(out) == [
+        "command: atoms",
+        "3 atoms",
+        "  [0] 2g^3                           length 3   absolutely irreducible",
+        "  [1] g 2g                           length 2   NOT absolutely irreducible",
+        "  [2] g^3                            length 3   absolutely irreducible",
+    ]
 
 
 def test_absirred_human_output(cyclic3, capsys):

@@ -1034,6 +1034,89 @@ def test_atom_set_index_and_support_masks():
 
 
 
+SMALL_GROUPS = tuple(g for n in range(2, 17) for g in abelian_groups_of_order(n))
+
+
+@st.composite
+def small_group_subsets(draw):
+    """1-7 distinct classes, the zero class allowed, of an abelian group of
+    order at most 16."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    elements = list(group.elements())
+    picked = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=7, unique=True))
+    return ClassSet(group, tuple(picked))
+
+
+@st.composite
+def free_class_sets(draw):
+    """2-5 distinct classes of Z, Z^2 or Z^3 with coordinates in [-2, 2]."""
+    group = FinGenAbelianGroup.free(draw(st.integers(1, 3)))
+    coords = st.tuples(*(st.integers(-2, 2) for _ in range(group.free_rank)))
+    classes = draw(st.lists(coords, min_size=2, max_size=5, unique=True))
+    return ClassSet(group, tuple(map(group.element, classes)))
+
+
+@st.composite
+def shared_support_class_sets(draw):
+    """g, 2g and up to three more classes of Z/n, n = 5..16: g^(n-2) 2g and
+    g^(n-4) (2g)^2 are two atoms with one support."""
+    n = draw(st.integers(5, 16))
+    extra = draw(st.lists(st.integers(0, n - 1).filter(lambda k: k not in (1, 2)),
+                          max_size=3, unique=True))
+    group = FinGenAbelianGroup.cyclic(n)
+    return ClassSet(group, tuple(group.element((k,)) for k in (1, 2, *extra)))
+
+
+def assert_sweep_matches_scan(cs):
+    atoms = enumerate_atoms(cs)
+    assert atoms.support_minimal == tuple(
+        atoms.atom_within_support(i) is None for i in range(len(atoms)))
+    return atoms
+
+
+@settings(max_examples=200)
+@given(cs=st.one_of(small_group_subsets(), free_class_sets()))
+def test_support_sweep_matches_per_atom_scan(cs):
+    assert_sweep_matches_scan(cs)
+
+
+@settings(max_examples=60)
+@given(cs=shared_support_class_sets())
+def test_support_sweep_matches_per_atom_scan_on_shared_supports(cs):
+    atoms = assert_sweep_matches_scan(cs)
+    masks = atoms.support_masks
+    assert len(set(masks)) < len(masks)
+
+
+@settings(max_examples=200)
+@given(vectors=st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4).filter(any),
+                        min_size=1, max_size=12, unique_by=tuple))
+def test_support_sweep_matches_per_atom_scan_on_any_vectors(vectors):
+    # an AtomSet built by hand from any distinct vectors: there two of them
+    # can share a support that holds no other, which no genuine atom set has
+    group = FinGenAbelianGroup.free(1)
+    cs = ClassSet(group, tuple(group.element((k,)) for k in (1, 2, 3, 4)))
+    atoms = zsm.AtomSet(cs, tuple(map(cs.sequence, sorted(vectors))))
+    assert atoms.support_minimal == tuple(
+        atoms.atom_within_support(i) is None for i in range(len(atoms)))
+
+
+def test_support_sweep_on_a_shared_minimal_support():
+    group = FinGenAbelianGroup.free(1)
+    cs = ClassSet(group, (group.element((1,)), group.element((2,))))
+    atoms = zsm.AtomSet(cs, (cs.sequence((1, 1)), cs.sequence((1, 2)), cs.sequence((2, 1))))
+    assert atoms.support_minimal == (False, False, False)
+
+
+@pytest.mark.parametrize("torsion", [(12,), (2, 2, 2, 2), (4, 4), (16,)])
+def test_support_sweep_on_full_groups(torsion):
+    # B(G \ 0): the atoms g^ord(g) alone are support-minimal
+    group = FinGenAbelianGroup(0, torsion)
+    atoms = assert_sweep_matches_scan(ClassSet(group, tuple(group.elements())[1:]))
+    assert [a for a, m in zip(atoms, atoms.support_minimal) if m] == [
+        a for a in atoms if len(a.support_indices()) == 1]
+
+
 def assert_lengths_match_listing(b, atoms):
     """The table's length set and elasticity against the listed factorizations."""
     want = {len(f) for f in factorizations(b, atoms)}
