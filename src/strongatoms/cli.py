@@ -13,8 +13,10 @@ when it prints.  ``factor`` lists each factorization by its
 ``atom_indices``, into ``results["atoms"]``: the ascending index tuples of
 :func:`strongatoms.zsm.factorizations` as the table lists them (over atoms
 in lexicographic order, no entry is sorted again), and the report's lengths
-are the tuples' lengths.  ``atoms`` reads every verdict from the atom set's
-one support sweep (:attr:`strongatoms.zsm.AtomSet.support_minimal`).
+are the tuples' lengths.  ``atoms`` and the all-atoms ``absirred`` report
+read every verdict from the atom set's one support sweep
+(:attr:`strongatoms.zsm.AtomSet.support_minimal`); a one-atom ``absirred``
+report scans for that atom alone.
 ``build_parser`` builds the parser once per process; in-process callers of
 ``main`` share it.
 
@@ -149,6 +151,7 @@ def _absirred_payload(spec, seq, budget, nmax):
         if not atoms.contains(seq):
             raise SpecFileError(f"sequence {seq.exponents} is not an atom")
         return {"atoms": [verdict(atoms[atoms.index(seq)])]}
+    atoms.support_minimal   # one sweep, which every verdict below reads
     return {"atoms": [verdict(a) for a in atoms]}
 
 

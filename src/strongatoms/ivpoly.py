@@ -154,32 +154,49 @@ def poly_divides(f: RatPoly, g: RatPoly) -> bool:
     return r.is_zero()
 
 
+def _scaled_values(f: RatPoly) -> tuple[int, list[int]]:
+    """(D, [D f(0), ..., D f(deg f)]) for a nonzero f, with D the lcm of the
+    coefficient denominators: Horner's rule on the integer polynomial D f."""
+    d = f.denominator_lcm()
+    coeffs = [c.numerator * (d // c.denominator) for c in reversed(f.coeffs)]
+    values = []
+    for k in range(len(coeffs)):
+        acc = 0
+        for c in coeffs:
+            acc = acc * k + c
+        values.append(acc)
+    return d, values
+
+
 def is_integer_valued(f: RatPoly) -> bool:
     """Membership in the ring of integer-valued polynomials.
 
     Checking the values at 0, ..., deg(f) suffices: those values determine
     the coefficients over the binomial basis through a unimodular triangular
-    transform.
+    transform.  f(k) is an integer iff D f(k) is divisible by D, which keeps
+    the arithmetic on integers.
     """
     if f.is_zero():
         return True
-    return all(f(k).denominator == 1 for k in range(f.degree + 1))
+    d, values = _scaled_values(f)
+    return all(v % d == 0 for v in values)
 
 
 def binomial_basis_coefficients(f: RatPoly) -> tuple[Fraction, ...]:
     """Coefficients of f over the binomial basis, by finite differences.
 
     f is integer-valued exactly when all of these are integers; kept as a
-    cross-check for the value-based test above.
+    cross-check for the value-based test above.  The differences are taken
+    on the integer values of D f and divided by D once each.
     """
     if f.is_zero():
         return ()
-    row = [f(k) for k in range(f.degree + 1)]
+    d, row = _scaled_values(f)
     out = [row[0]]
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]
         out.append(row[0])
-    return tuple(out)
+    return tuple(Fraction(c, d) for c in out)
 
 
 def fixed_divisor(g: RatPoly) -> int:

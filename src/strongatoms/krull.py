@@ -9,7 +9,8 @@ capped at 2 for the existence searches.
 
 Three routes to absolute irreducibility of an atom are implemented and kept
 in agreement: support minimality within the atom set (decided for every atom
-at once by ``AtomSet.support_minimal``), the kernel criterion on the support
+at once by ``AtomSet.support_minimal``, or for one atom by a scan when that
+sweep is not built), the kernel criterion on the support
 family (nonnegative dependence of the whole family, integer independence of
 every proper subfamily), and explicit power-factorization witnesses, whose
 two factorizations are ascending tuples of atom indices as
@@ -92,9 +93,9 @@ class KrullSpec:
 
 
 def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
-    """True iff u is the unique atom whose support is contained in supp(u),
-    read from the atom set's one sweep (:attr:`AtomSet.support_minimal`)."""
-    return atom_set.support_minimal[atom_set.index(u)]
+    """True iff u is the unique atom whose support is contained in supp(u)
+    (:meth:`AtomSet.is_support_minimal`)."""
+    return atom_set.is_support_minimal(atom_set.index(u))
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
@@ -138,11 +139,11 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     factorization.  v with that factorization is an ascending index tuple as
     built: every atom the greedy pass takes lies inside supp(u) and is not u
     (u dividing u**n / v would make v divide u**(n-1)), so its index is at
-    least v's.  Returns None exactly when u has minimal support, as the atom
-    set's sweep says, before any atom is scanned.
+    least v's.  Returns None exactly when u has minimal support
+    (:meth:`AtomSet.is_support_minimal`).
     """
     iu = atom_set.index(u)
-    if atom_set.support_minimal[iu]:
+    if atom_set.is_support_minimal(iu):
         return None
     iv = atom_set.atom_within_support(iu)
     v = atom_set[iv]

@@ -5,8 +5,9 @@ distinctions of an ambient ring (unit groups, coefficient fields) are out of
 scope: the interval monoid with n = 1 is factorial as a monoid regardless of
 what a surrounding ring does.  The atoms are the interval [n, 2n - 1].
 Length sets are not computed here: zsm's length table
-(``vector_length_mask``) takes the atoms as one-coordinate vectors.  All
-operations are pure.
+(``vector_length_mask``) takes the atoms as one-coordinate vectors.  The
+factorization search keeps only branches that end in a factorization (see
+``nm_factorizations``).  All operations are pure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .errors import NoWitness, NotMember
+from .abgroup import DEFAULT_NODE_BUDGET
+from .errors import BudgetExceeded, NoWitness, NotMember
 
 
 @dataclass(frozen=True)
@@ -42,28 +44,42 @@ def nm_atoms(m: NumericalMonoid) -> tuple[int, ...]:
 
 
 def nm_factorizations(m: NumericalMonoid, x: int) -> list[tuple[int, ...]]:
-    """All multisets of atoms summing to x, each as a sorted tuple.  x is
-    coerced with ``operator.index``."""
+    """All multisets of atoms summing to x, each as a sorted tuple, in
+    lexicographic order.  x is coerced with ``operator.index``.
+
+    The search takes atoms in nondecreasing order and keeps only branches
+    that end in a factorization: it takes atom a at remainder rem only when
+    r = rem - a is a sum of atoms from [a, t], t = 2n - 1.  k atoms from an
+    interval [a, t] sum to exactly the integers in [k a, k t], so r qualifies
+    iff ceil(r / t) a <= r (r = 0 with k = 0).  The search thus visits at
+    most the number of factorizations times x // n nodes.  Listing more than
+    ``DEFAULT_NODE_BUDGET`` factorizations raises BudgetExceeded.  The search
+    recurses once per atom taken, so an x with x // n near Python's recursion
+    limit (1,000 by default) still raises RecursionError.
+    """
     x = index(x)
     if x <= 0 or not m.contains(x):
         raise NotMember(f"{x} is not a positive element of the monoid")
-    atoms = nm_atoms(m)
+    t = 2 * m.n - 1
+    budget = DEFAULT_NODE_BUDGET
     out: list[tuple[int, ...]] = []
     acc: list[int] = []
 
-    def rec(rem: int, start: int):
+    def rec(rem: int, low: int):
         if rem == 0:
+            if len(out) == budget:
+                raise BudgetExceeded(
+                    f"interval-monoid factorization search exceeded {budget} factorizations")
             out.append(tuple(acc))
             return
-        for i in range(start, len(atoms)):
-            a = atoms[i]
-            if a > rem:
-                break
-            acc.append(a)
-            rec(rem - a, i)
-            acc.pop()
+        for a in range(low, min(rem, t) + 1):
+            r = rem - a
+            if -(-r // t) * a <= r:
+                acc.append(a)
+                rec(r, a)
+                acc.pop()
 
-    rec(x, 0)
+    rec(x, m.n)
     return out
 
 

@@ -72,7 +72,7 @@ def check_signed_basis_atoms(n: int) -> Check:
     atoms = zsm.enumerate_atoms(cs)
     got = {a.exponents for a in atoms}
     want = _expected_signed_basis_atoms(cs, n)
-    absirred = all(krull.is_absirred_support(a, atoms) for a in atoms)
+    absirred = all(atoms.support_minimal)
     ok = got == want and len(atoms) == n + 3 and absirred
     return Check(f"signed-basis-n{n}-atoms", ok,
                  f"{len(atoms)} atoms, all absolutely irreducible: {absirred}")

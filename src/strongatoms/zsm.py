@@ -200,7 +200,8 @@ class AtomSet:
     Atoms are stored in lexicographic exponent order, which fixes the indices
     used by factorizations and reports.  :attr:`support_minimal` decides for
     every atom at once whether it is the only atom whose support lies in its
-    own, with one sweep over the distinct supports that is kept with the set.
+    own, with one sweep over the distinct supports that is kept with the set;
+    :meth:`is_support_minimal` answers for one atom without building it.
     """
 
     class_set: ClassSet
@@ -247,6 +248,14 @@ class AtomSet:
                 kept.append(m)
         unique = {m for m in kept if shared[m] == 1}
         return tuple(m in unique for m in self.support_masks)
+
+    def is_support_minimal(self, i: int) -> bool:
+        """Whether atom i is support-minimal: read from :attr:`support_minimal`
+        when the sweep is built, otherwise decided by one scan for atom i, so
+        that a one-atom question does not pay for the whole sweep."""
+        if "support_minimal" in vars(self):
+            return self.support_minimal[i]
+        return self.atom_within_support(i) is None
 
     def atom_within_support(self, i: int) -> int | None:
         """Index of the first other atom whose support lies in atom i's, or None."""

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongatoms.errors import (
     NotIntegerValued,
@@ -90,6 +91,55 @@ def test_integer_valued_cross_check_binomial_basis():
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + binomial_poly(k) * c
         assert rebuilt.coeffs == f.coeffs
+
+
+def fraction_route(f):
+    """is_integer_valued and binomial_basis_coefficients as computed before
+    the integer evaluation: Fraction values f(0..deg f), Fraction differences."""
+    if f.is_zero():
+        return True, ()
+    row = [f(k) for k in range(f.degree + 1)]
+    member = all(v.denominator == 1 for v in row)
+    out = [row[0]]
+    while len(row) > 1:
+        row = [b - a for a, b in zip(row, row[1:])]
+        out.append(row[0])
+    return member, tuple(out)
+
+
+@st.composite
+def rational_polys(draw):
+    """Degree -1 (zero) to 10, coefficients with denominators 1-12; or an
+    integer combination of binomial polynomials, integer-valued with
+    non-integer coefficients from degree 2 on."""
+    deg = draw(st.integers(-1, 10))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(-9, 9), min_size=deg + 1, max_size=deg + 1))
+        f = RatPoly.of(0)
+        for k, c in enumerate(terms):
+            f = f + binomial_poly(k) * c
+        return f
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+                           min_size=deg + 1, max_size=deg + 1))
+    return RatPoly(tuple(coeffs))
+
+
+@settings(max_examples=300)
+@given(f=rational_polys())
+def test_integer_evaluation_matches_fraction_route(f):
+    member, coeffs = fraction_route(f)
+    assert is_integer_valued(f) == member
+    got = binomial_basis_coefficients(f)
+    assert got == coeffs and all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("f", [
+    RatPoly.of(0), RatPoly.of(7), RatPoly.of(Fraction(-5, 12)),
+    X * (X - RatPoly.constant(1)) * HALF, cubic_over_two(), X * HALF,
+    *map(binomial_poly, range(11)),
+])
+def test_integer_evaluation_on_named_polys(f):
+    assert (is_integer_valued(f), binomial_basis_coefficients(f)) == fraction_route(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 
 from strongatoms import nummon
-from strongatoms.errors import NoWitness, NotMember
+from strongatoms.errors import BudgetExceeded, NoWitness, NotMember
 from strongatoms.nummon import (
     NumericalMonoid,
     nm_atoms,
@@ -108,7 +109,15 @@ def test_membership_keeps_no_process_global_cache():
     assert not [name for name, obj in vars(nummon).items() if hasattr(obj, "cache_info")]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def enumerate_factorizations(atoms, x):
+    """Every multiset of atoms summing to x, by brute force over each
+    possible length, sorted."""
+    n, t = atoms[0], atoms[-1]
+    return sorted(c for k in range(-(-x // t), x // n + 1)
+                  for c in combinations_with_replacement(atoms, k) if sum(c) == x)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_interval_factorization_counts_match_dp(n):
     m = NumericalMonoid.interval(n)
     atoms = nm_atoms(m)
@@ -120,6 +129,20 @@ def test_interval_factorization_counts_match_dp(n):
         for f in facs:
             assert sum(f) == x and list(f) == sorted(f)
             assert all(n <= a < 2 * n for a in f)
+        if x <= 48:
+            # the list and its lexicographic order
+            assert facs == enumerate_factorizations(atoms, x)
+
+
+def test_factorization_budget(monkeypatch):
+    m = NumericalMonoid.interval(2)
+    assert len(nm_factorizations(m, 12)) == 3     # 2^6, 2^3 3^2, 3^4
+    monkeypatch.setattr(nummon, "DEFAULT_NODE_BUDGET", 3)
+    assert nm_factorizations(m, 12) == [(2,) * 6, (2, 2, 2, 3, 3), (3,) * 4]
+    monkeypatch.setattr(nummon, "DEFAULT_NODE_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="interval-monoid factorization search"):
+        nm_factorizations(m, 12)
+    assert nm_factorizations(m, 6) == [(2, 2, 2), (3, 3)]
 
 
 def test_length_set_matches_listed_lengths():

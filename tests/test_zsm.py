@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from strongatoms import zsm
+from strongatoms import krull, zsm
 from strongatoms.abgroup import (
     DEFAULT_NODE_BUDGET,
     FinGenAbelianGroup,
@@ -1069,8 +1069,12 @@ def shared_support_class_sets(draw):
 
 def assert_sweep_matches_scan(cs):
     atoms = enumerate_atoms(cs)
-    assert atoms.support_minimal == tuple(
+    # one-atom answers on a fresh set scan and leave the sweep unbuilt
+    one_atom = tuple(map(atoms.is_support_minimal, range(len(atoms))))
+    assert "support_minimal" not in vars(atoms)
+    assert atoms.support_minimal == one_atom == tuple(
         atoms.atom_within_support(i) is None for i in range(len(atoms)))
+    assert tuple(map(atoms.is_support_minimal, range(len(atoms)))) == one_atom
     return atoms
 
 
@@ -1078,6 +1082,20 @@ def assert_sweep_matches_scan(cs):
 @given(cs=st.one_of(small_group_subsets(), free_class_sets()))
 def test_support_sweep_matches_per_atom_scan(cs):
     assert_sweep_matches_scan(cs)
+
+
+@settings(max_examples=200)
+@given(cs=st.one_of(small_group_subsets(), free_class_sets()))
+def test_one_atom_verdicts_match_the_sweep(cs):
+    # krull's one-atom verdicts on a set without the sweep, against the sweep
+    atoms = enumerate_atoms(cs)
+    fresh = zsm.AtomSet(cs, atoms.atoms, atoms.certificate)
+    for u, minimal in zip(atoms, atoms.support_minimal):
+        assert krull.is_absirred_support(u, fresh) == minimal
+        w = krull.witness_non_absirred(u, fresh)
+        assert (w is None) == minimal
+        assert w == krull.witness_non_absirred(u, atoms)
+    assert "support_minimal" not in vars(fresh)
 
 
 @settings(max_examples=60)
