@@ -1,8 +1,11 @@
 """Finitely generated abelian groups with exact integer linear algebra.
 
-Groups are presented as Z^r + Z/d_1 + ... + Z/d_k.  All arithmetic uses
-arbitrary-precision integers throughout; there is no fixed-width fast path,
-because Smith normal form intermediates can grow without bound.
+Groups are presented as Z^r + Z/d_1 + ... + Z/d_k, and a group is its
+presentation: two groups are equal exactly when their free ranks and torsion
+tuples are, so Z/2 + Z/3 and Z/6 differ, and every operation refuses an
+element of another presentation (DimensionMismatch).  All arithmetic uses
+arbitrary-precision integers; there is no fixed-width path, since no fixed
+width bounds the entries of the echelon rows below.
 
 Questions about rational dependence are decided by one integer elimination
 (``_eliminate``): the free parts of a family are reduced one at a time
@@ -16,8 +19,8 @@ the existence search of ``krull``.  ``positive_kernel_vector`` is exact by
 circuits: one pass gives a circuit per dependent member, and the walk runs
 only when two or more of them, none one-signed, leave the answer open.
 Smith normal form, on plain row tuples, remains only behind
-``kernel_lattice``, the source of explicit Z-bases, and
-``_invariant_factors``.
+``kernel_lattice``, the source of explicit Z-bases, which nothing else in
+the package calls.
 
 Congruence conditions coming from torsion components are reduced to pure
 integer kernels by appending one slack column with coefficient -d_j per
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product, zip_longest
 from operator import add, ge, mul
 from typing import Iterable, Iterator, Sequence as Seq
@@ -161,23 +163,10 @@ def smith_normal_form(rows: Seq[Seq[int]], ncols: int) -> tuple[Rows, Rows, Rows
 # groups and elements
 
 
-def _invariant_factors(torsion: tuple[int, ...]) -> tuple[int, ...]:
-    if not torsion:
-        return ()
-    k = len(torsion)
-    _, d, _ = smith_normal_form(
-        [[t if i == j else 0 for j in range(k)] for i, t in enumerate(torsion)], k)
-    return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FinGenAbelianGroup:
-    """Z^free_rank + Z/d_1 + ... + Z/d_k in the presentation given at construction.
-
-    Equality and hashing compare the invariant-factor normal form, so two
-    different presentations of isomorphic groups compare equal.  Element
-    coordinates always live in the original presentation.
-    """
+    """Z^free_rank + Z/d_1 + ... + Z/d_k, equal to another group exactly when
+    the presentations are: the free ranks and the torsion tuples agree."""
 
     free_rank: int = 0
     torsion: tuple[int, ...] = ()
@@ -201,21 +190,6 @@ class FinGenAbelianGroup:
         if n < 1:
             raise ValueError("cyclic order must be >= 1")
         return cls() if n == 1 else cls(torsion=(n,))
-
-    @cached_property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return _invariant_factors(self.torsion)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinGenAbelianGroup):
-            return NotImplemented
-        return (self.free_rank, self.invariant_factors) == (other.free_rank, other.invariant_factors)
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.invariant_factors))
-
-    def same_presentation(self, other: "FinGenAbelianGroup") -> bool:
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
 
     @property
     def is_finite(self) -> bool:
@@ -251,9 +225,10 @@ class FinGenAbelianGroup:
         return "FinGenAbelianGroup(" + (" + ".join(parts) if parts else "trivial") + ")"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroupElement:
-    """Element of a FinGenAbelianGroup; torsion residues stored reduced."""
+    """Element of a FinGenAbelianGroup; torsion residues stored reduced.
+    Equal elements have equal groups and equal coordinates."""
 
     group: FinGenAbelianGroup
     free_part: tuple[int, ...]
@@ -265,7 +240,7 @@ class GroupElement:
     def _check_partner(self, other: "GroupElement"):
         if not isinstance(other, GroupElement):
             raise TypeError("expected a GroupElement")
-        if not self.group.same_presentation(other.group):
+        if other.group != self.group:
             raise DimensionMismatch("elements of differently presented groups")
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
@@ -295,24 +270,13 @@ class GroupElement:
     def is_zero(self) -> bool:
         return not any(self.free_part) and not any(self.torsion_part)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.group.same_presentation(other.group)
-                and self.free_part == other.free_part
-                and self.torsion_part == other.torsion_part)
-
-    def __hash__(self) -> int:
-        return hash((self.group.free_rank, self.group.torsion,
-                     self.free_part, self.torsion_part))
-
     def __repr__(self) -> str:
         return f"GroupElement{self.coords()}"
 
 
 def order(group: FinGenAbelianGroup, g: GroupElement) -> int | float:
     """Least n >= 1 with n*g = 0, or INFINITE when the free part is nonzero."""
-    if not group.same_presentation(g.group):
+    if g.group != group:
         raise DimensionMismatch("element does not belong to the group")
     if any(g.free_part):
         return INFINITE
@@ -337,7 +301,7 @@ def zero_sum_columns(group: FinGenAbelianGroup,
     k = len(torsion)
     cols = []
     for g in family:
-        if not group.same_presentation(g.group):
+        if g.group != group:
             raise DimensionMismatch("family element from a different group")
         cols.append(g.free_part + g.torsion_part)
     for j, d in enumerate(torsion):
@@ -361,7 +325,7 @@ def kernel_lattice(group: FinGenAbelianGroup,
 def _free_parts(group: FinGenAbelianGroup,
                 family: Seq[GroupElement]) -> list[tuple[int, ...]]:
     for g in family:
-        if not group.same_presentation(g.group):
+        if g.group != group:
             raise DimensionMismatch("family element from a different group")
     return [g.free_part for g in family]
 

@@ -9,6 +9,7 @@ constructions below.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,6 +235,7 @@ def binomial_poly(n: int) -> RatPoly:
 
 def smallest_prime_factor(n: int) -> int:
     """The least prime dividing n >= 2, by trial division."""
+    n = operator.index(n)
     if n % 2 == 0:
         return 2
     f = 3
@@ -245,11 +247,13 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_prime(p: int) -> bool:
+    p = operator.index(p)
     return p >= 2 and smallest_prime_factor(p) == p
 
 
 def legendre_vp_factorial(p: int, n: int) -> int:
     """v_p(n!) = sum of floor(n / p^i)."""
+    p, n = operator.index(p), operator.index(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 0:

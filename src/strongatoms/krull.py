@@ -136,21 +136,25 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     atom in index order is taken as often as it fits.  The remainder stays a
     zero-sum sequence, so every atom that fits it occurs in one of its
     factorizations, and the result is the cofactor's lexicographically first
-    factorization.  v with that factorization is an ascending index tuple as
-    built: every atom the greedy pass takes lies inside supp(u) and is not u
-    (u dividing u**n / v would make v divide u**(n-1)), so its index is at
-    least v's.  Returns None exactly when u has minimal support
-    (:meth:`AtomSet.is_support_minimal`).
+    factorization.  Only atoms supported inside supp(u) can fit, and apart
+    from u they have index at least v's, so the pass reads those from v on.
+    v with that factorization is an ascending index tuple as built: u never
+    fits (u dividing u**n / v would make v divide u**(n-1)).  Returns None
+    exactly when u has minimal support (:meth:`AtomSet.is_support_minimal`).
     """
     iu = atom_set.index(u)
-    if atom_set.is_support_minimal(iu):
-        return None
     iv = atom_set.atom_within_support(iu)
+    if iv is None:
+        return None
     v = atom_set[iv]
     n = max(-(-v.exponents[j] // u.exponents[j]) for j in v.support_indices())
     rem = list((u ** n / v).exponents)
     taken = [iv]
-    for i, a in enumerate(atom_set):
+    masks = atom_set.support_masks
+    for i in range(iv, len(atom_set)):
+        if masks[i] & ~masks[iu]:
+            continue
+        a = atom_set[i]
         support = a.support_indices()
         c = min(rem[j] // a.exponents[j] for j in support)
         if c:

@@ -64,7 +64,7 @@ class ClassSet:
             raise ValueError("class set must be nonempty")
         seen = set()
         for g in self.classes:
-            if not self.group.same_presentation(g.group):
+            if g.group != self.group:
                 raise DimensionMismatch("class from a different group")
             key = g.coords()
             if key in seen:
@@ -258,7 +258,10 @@ class AtomSet:
         return self.atom_within_support(i) is None
 
     def atom_within_support(self, i: int) -> int | None:
-        """Index of the first other atom whose support lies in atom i's, or None."""
+        """Index of the first other atom whose support lies in atom i's, or
+        None: at once when the sweep is built and marks atom i minimal."""
+        if "support_minimal" in vars(self) and self.support_minimal[i]:
+            return None
         masks = self.support_masks
         inside = (j for j, mj in enumerate(masks) if j != i and not mj & ~masks[i])
         return next(inside, None)
@@ -299,7 +302,7 @@ def _zero_sum_free_search(group: FinGenAbelianGroup, values: Seq[GroupElement],
     its last position).  ``budget`` counts the nonempty zero-sum-free
     multisets."""
     for g in values:
-        if not group.same_presentation(g.group):
+        if g.group != group:
             raise DimensionMismatch("family element from a different group")
     order = 1
     weights = []

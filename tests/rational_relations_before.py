@@ -37,7 +37,7 @@ def rational_relations(group: FinGenAbelianGroup,
     at row i's pivot column, made primitive with a positive entry at f.
     """
     for g in family:
-        if not group.same_presentation(g.group):
+        if g.group != group:
             raise DimensionMismatch("family element from a different group")
     m = len(family)
     rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]

@@ -19,6 +19,7 @@ from strongatoms.abgroup import (
     zero_sum_columns,
 )
 from strongatoms.errors import BudgetExceeded, DimensionMismatch
+from strongatoms.ivpoly import is_prime, legendre_vp_factorial, smallest_prime_factor
 from strongatoms.krull import brute_force_absirred
 from strongatoms.nummon import NumericalMonoid, nm_factorizations
 from strongatoms.quadratic import QuadInt, QuadRing
@@ -49,12 +50,27 @@ C3 = FinGenAbelianGroup.cyclic(3)
 # groups and elements
 
 
-def test_group_normalized_equality():
-    assert FinGenAbelianGroup(0, (2, 3)) == FinGenAbelianGroup(0, (6,))
-    assert hash(FinGenAbelianGroup(0, (2, 3))) == hash(FinGenAbelianGroup(0, (6,)))
+def test_group_equals_its_presentation():
     assert FinGenAbelianGroup(0, (2, 2)) != FinGenAbelianGroup(0, (4,))
     assert FinGenAbelianGroup(1, ()) != FinGenAbelianGroup(0, ())
-    assert FinGenAbelianGroup(0, (4, 2)).invariant_factors == (2, 4)
+    # isomorphic presentations are different groups
+    assert FinGenAbelianGroup(0, (2, 3)) != FinGenAbelianGroup(0, (6,))
+    assert FinGenAbelianGroup(0, (4, 2)) != FinGenAbelianGroup(0, (2, 4))
+    # equal presentations are equal, hash equal, and one dict key
+    a, b = FinGenAbelianGroup(1, (2, 3)), FinGenAbelianGroup(True, [2, 3])
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "a", b: "b"} == {a: "b"}
+    assert FinGenAbelianGroup.cyclic(1) == FinGenAbelianGroup() == FinGenAbelianGroup.free(0)
+    x, y = a.element((1, 1, 2)), b.element((1, 3, 5))
+    assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
+    assert x != a.element((1, 1, 1)) and x != a.element((2, 1, 2))
+    # class sets over Z/2 + Z/3 and over Z/6 differ, though both hold the
+    # generator, and their elements cannot meet
+    g23, g6 = FinGenAbelianGroup(0, (2, 3)), FinGenAbelianGroup.cyclic(6)
+    assert ClassSet(g23, (g23.element((1, 1)),)) != ClassSet(g6, (g6.element((1,)),))
+    assert g23.element((1, 1)) != g6.element((5,))
+    with pytest.raises(DimensionMismatch):
+        g23.element((1, 1)) + g6.element((5,))
 
 
 def test_bad_group_arguments():
@@ -87,10 +103,14 @@ C3_PAIR = ClassSet(C3, (C3.element((1,)), C3.element((2,))))
     lambda: QuadInt(1.5, 0),
     lambda: QuadInt(1, Fraction(1, 2)),
     lambda: nm_factorizations(NumericalMonoid(2), 6.0),
+    lambda: legendre_vp_factorial(3, 9.0),
+    lambda: legendre_vp_factorial(2.0, 4),
+    lambda: is_prime(7.0),
+    lambda: smallest_prime_factor(9.0),
 ], ids=["torsion", "cyclic", "free-rank", "element", "sequence", "quad-element",
         "quad-element-b", "quad-ring", "interval", "sequence-direct-float",
         "sequence-direct-fraction", "power", "brute-force-nmax", "quadint-a", "quadint-b",
-        "nm-factorizations"])
+        "nm-factorizations", "legendre-n", "legendre-p", "is-prime", "smallest-prime-factor"])
 def test_constructors_reject_non_integers(make):
     # a float or Fraction is refused, never truncated or kept as an exponent
     # (the power check would answer n_max = 2.5 from u ** 2.5)
