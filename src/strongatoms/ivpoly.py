@@ -236,6 +236,8 @@ def binomial_poly(n: int) -> RatPoly:
 def smallest_prime_factor(n: int) -> int:
     """The least prime dividing n >= 2, by trial division."""
     n = operator.index(n)
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if n % 2 == 0:
         return 2
     f = 3

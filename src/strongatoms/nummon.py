@@ -103,8 +103,4 @@ def nm_witness_non_absirred(m: NumericalMonoid, atom: int) -> NmWitness:
     if atom not in atoms:
         raise NotMember(f"{atom} is not an atom of the monoid")
     t = next(t for t in atoms if t != atom)
-    element = atom * t
-    f1 = (atom,) * t
-    f2 = (t,) * atom
-    assert sum(f1) == element and sum(f2) == element
-    return NmWitness(atom, t, element, f1, f2)
+    return NmWitness(atom, t, atom * t, (atom,) * t, (t,) * atom)

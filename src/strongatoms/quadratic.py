@@ -6,11 +6,12 @@ a^2 - d*b^2 is positive definite.  The units are +-1, and also +-i for d = -1;
 as 3 and 3i stay distinct (ROADMAP items 1 and 5).  Norm-based searches make
 irreducibility and bounded absolute-irreducibility decidable: one sieve over
 the divisors of an element, in increasing norm, lists its irreducible
-divisors and so also decides irreducibility.  Primality is only witnessed
-(explicit non-prime products, or the Euler criterion for inert rational
-primes).  The bounded half-factoriality scan fills one table of length sets
-in increasing norm, built bottom-up from the irreducibles of smaller norm.
-No cache outlives a call.
+divisors and so also decides irreducibility; z**n factors uniquely unless
+an irreducible other than z's associate divides it.  Primality is only
+witnessed (explicit non-prime products, or the Euler criterion for inert
+rational primes).  The bounded half-factoriality scan fills one table of
+length sets in increasing norm, built bottom-up from the irreducibles of
+smaller norm.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ class QuadRing:
     def conj(self, z: QuadInt) -> QuadInt:
         return QuadInt(z.a, -z.b)
 
-    def neg(self, z: QuadInt) -> QuadInt:
-        return QuadInt(-z.a, -z.b)
-
     def power(self, z: QuadInt, n: int) -> QuadInt:
+        n = index(n)
+        if n < 0:
+            raise ValueError("negative power of an element")
         out = QuadInt(1, 0)
         for _ in range(n):
             out = self.mul(out, z)
@@ -138,8 +139,6 @@ def _divisors(n: int) -> list[int]:
 
 def quad_divides(ring: QuadRing, w: QuadInt, z: QuadInt) -> bool:
     """Exact divisibility w | z."""
-    if ring.norm(w) == 0:
-        raise ZeroDivisor("division by zero")
     return ring.exact_divide(z, w) is not None
 
 
@@ -184,17 +183,14 @@ class PrimeWitness:
 
 
 def quad_is_prime_witness(ring: QuadRing, z: QuadInt) -> PrimeWitness:
-    if ring.norm(z) == 0:
-        raise ZeroDivisor("primality probe of zero")
+    if ring.norm(z) <= 1:
+        raise ZeroOrUnit("primality is about nonzero nonunits")
     d = ring.d
     if (z.a, z.b) in ((2, 0), (-2, 0)):
         if d % 4 == 2:
             x = y = ring.sqrt_d()
         else:
             x, y = QuadInt(1, 1), QuadInt(1, -1)
-        prod = ring.mul(x, y)
-        assert quad_divides(ring, z, prod)
-        assert not quad_divides(ring, z, x) and not quad_divides(ring, z, y)
         return PrimeWitness("non_prime_witness", x, y,
                             "2 divides the product but neither factor")
     if z.b == 0:
@@ -211,37 +207,33 @@ def quad_factorizations(ring: QuadRing, t: QuadInt,
 
     Each result is (sign, atoms) with atoms canonical and sorted, such that
     sign * product(atoms) = t.  Units themselves have the empty factorization.
+    A depth-first walk on an explicit stack; `budget` counts its divisions.
     """
     if ring.norm(t) == 0:
         raise ZeroDivisor("cannot factor zero")
-    return _factorizations(ring, t, _irreducible_divisors(ring, t), budget)
-
-
-def _factorizations(ring: QuadRing, t: QuadInt, cands: list[QuadInt],
-                    budget: int) -> list[tuple[int, tuple[QuadInt, ...]]]:
-    """`quad_factorizations` of t, given its irreducible divisors in (norm, a, b) order."""
+    cands = _irreducible_divisors(ring, t)
     out: list[tuple[int, tuple[QuadInt, ...]]] = []
-    acc: list[QuadInt] = []
+    path: list[tuple[QuadInt, int]] = []   # (what was left, index of the atom taken) per step
+    rem, i = t, 0
     nodes = 0
-
-    def rec(rem: QuadInt, start: int):
-        nonlocal nodes
+    while True:
         if ring.is_unit(rem):
-            out.append((rem.a, tuple(acc)))
-            return
-        for i in range(start, len(cands)):
-            w = cands[i]
+            out.append((rem.a, tuple(cands[k] for _, k in path)))
+        elif i < len(cands):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"factorization search exceeded {budget} divisions")
-            q = ring.exact_divide(rem, w)
-            if q is not None:
-                acc.append(w)
-                rec(q, i)
-                acc.pop()
-
-    rec(t, 0)
-    return out
+            q = ring.exact_divide(rem, cands[i])
+            if q is None:
+                i += 1
+            else:
+                path.append((rem, i))
+                rem = q
+            continue
+        if not path:
+            return out
+        rem, i = path.pop()
+        i += 1
 
 
 @dataclass(frozen=True)
@@ -252,12 +244,13 @@ class QuadAbsirredResult:
     witness: tuple[QuadInt, ...] | None = None
 
 
-def quad_brute_absirred(ring: QuadRing, z: QuadInt, n_max: int,
-                        *, budget: int = DEFAULT_NODE_BUDGET) -> QuadAbsirredResult:
-    """Exhaustively check that z**n factors only as n copies of +-z, n <= n_max.
+def quad_brute_absirred(ring: QuadRing, z: QuadInt, n_max: int) -> QuadAbsirredResult:
+    """Check that z**n factors only as n copies of +-z, for every n <= n_max.
 
-    One sieve lists the irreducible divisors of z**n_max; those of z and of
-    each z**n are its entries that divide them.  `budget` is per power.
+    z**n has another factorization exactly when an irreducible w other than
+    z's canonical associate divides it.  The least such n, and the first such
+    w in the sieve of z**n_max, answer; the witness is w and then z**n / w
+    factored greedily, each step by the first sieve entry that divides.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -270,10 +263,14 @@ def quad_brute_absirred(ring: QuadRing, z: QuadInt, n_max: int,
     zc = canonical_associate(z)
     for n in range(1, n_max + 1):
         t = ring.power(z, n)
-        cands = [w for w in sieve if quad_divides(ring, w, t)]
-        for sign, atoms in _factorizations(ring, t, cands, budget):
-            if atoms != (zc,) * n:
-                return QuadAbsirredResult(False, n, sign, atoms)
+        w = next((w for w in sieve if w != zc and quad_divides(ring, w, t)), None)
+        if w is not None:
+            atoms = [w]
+            rest = ring.exact_divide(t, w)
+            while not ring.is_unit(rest):
+                atoms.append(next(v for v in sieve if quad_divides(ring, v, rest)))
+                rest = ring.exact_divide(rest, atoms[-1])
+            return QuadAbsirredResult(False, n, rest.a, tuple(atoms))
     return QuadAbsirredResult(True)
 
 

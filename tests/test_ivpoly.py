@@ -268,6 +268,11 @@ def test_legendre_vp_factorial():
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert [smallest_prime_factor(n) for n in (2, 9, 15, 49, 97, 221)] == [2, 3, 3, 7, 97, 13]
+    # below 2 there is no prime factor to report; is_prime answers without asking
+    for n in (1, 0, -7):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            smallest_prime_factor(n)
+        assert not is_prime(n)
 
 
 def test_rp_membership_examples():

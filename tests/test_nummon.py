@@ -91,7 +91,10 @@ def test_every_interval_atom_has_witness():
         m = NumericalMonoid.interval(n)
         for atom in nm_atoms(m):
             w = nm_witness_non_absirred(m, atom)
+            # both factorizations sum to the element: t copies of the atom, atom copies of t
             assert sum(w.copies_of_atom) == sum(w.copies_of_t) == w.element
+            assert w.copies_of_atom == (atom,) * w.t and w.copies_of_t == (w.t,) * atom
+            assert w.t != atom
             facs = nm_factorizations(m, w.element)
             assert tuple(sorted(w.copies_of_atom)) in facs
             assert tuple(sorted(w.copies_of_t)) in facs

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from strongatoms import quadratic
 from strongatoms.abgroup import DEFAULT_NODE_BUDGET
@@ -25,6 +25,12 @@ from strongatoms.quadratic import (
 
 R14 = QuadRing(-14)
 R5 = QuadRing(-5)
+
+SQUAREFREE_D = [-k for k in range(1, 131)
+                if -k % 4 in (2, 3) and all(k % (p * p) for p in range(2, 12))]
+
+# the rings of the benchmark's quadratic queries: d = -1..-70, squarefree, d = 2, 3 mod 4
+POOL_D = [d for d in SQUAREFREE_D if d >= -70]
 
 
 def test_ring_validation():
@@ -104,6 +110,36 @@ def test_prime_witness_two():
     r5w = quad_is_prime_witness(R5, R5.element(2))
     assert r5w.kind == "non_prime_witness"
     assert (r5w.x, r5w.y) == (QuadInt(1, 1), QuadInt(1, -1))
+    # the witness: +-2 divides x*y but neither x nor y, in every pool ring
+    for d in POOL_D:
+        ring = QuadRing(d)
+        for two in (ring.element(2), ring.element(-2)):
+            w = quad_is_prime_witness(ring, two)
+            assert w.kind == "non_prime_witness"
+            assert quad_divides(ring, two, ring.mul(w.x, w.y))
+            assert not quad_divides(ring, two, w.x) and not quad_divides(ring, two, w.y)
+
+
+@pytest.mark.parametrize("d", [-1, -5, -14])
+def test_prime_witness_rejects_zero_and_units(d):
+    # a unit is not prime, and zero is no candidate either
+    ring = QuadRing(d)
+    units = elements_of_norm(ring, 1)
+    assert len(units) == (4 if d == -1 else 2)
+    for z in [ring.element(0)] + units:
+        with pytest.raises(ZeroOrUnit):
+            quad_is_prime_witness(ring, z)
+
+
+def test_power_takes_nonnegative_integer_exponents():
+    z = R5.element(1, 1)
+    assert R5.power(z, 0) == QuadInt(1, 0)
+    assert R5.power(z, 2) == R5.mul(z, z) == QuadInt(-4, 2)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative power"):
+            R5.power(z, n)
+    with pytest.raises(TypeError):
+        R5.power(z, 2.0)
 
 
 def test_prime_witness_euler():
@@ -214,10 +250,6 @@ def per_element_half_factorial_check(ring, max_norm):
     return True, None
 
 
-SQUAREFREE_D = [-k for k in range(1, 131)
-                if -k % 4 in (2, 3) and all(k % (p * p) for p in range(2, 12))]
-
-
 @settings(max_examples=100)
 @given(st.sampled_from(SQUAREFREE_D), st.integers(0, 700))
 # first counterexamples off the rational line: the scan's order within a norm decides them
@@ -296,10 +328,6 @@ def reference_irreducible_divisors(ring, t):
                 cands.append(w)
     cands.sort(key=lambda z: (ring.norm(z), z.a, z.b))
     return cands
-
-
-# the rings of the benchmark's quadratic queries: d = -1..-70, squarefree, d = 2, 3 mod 4
-POOL_D = [d for d in SQUAREFREE_D if d >= -70]
 
 
 @pytest.mark.parametrize("d", POOL_D)
@@ -396,38 +424,21 @@ def test_half_factorial_matches_quadint_reference(d, max_norm):
             reference_half_factorial_check(ring, max_norm, budget=least - 1)
 
 
-def reference_brute_absirred(ring, z, n_max, *, budget=DEFAULT_NODE_BUDGET):
-    """The former route: a sieve for z, and one more for each power z**n."""
+def reference_brute_absirred(ring, z, n_max):
+    """The listing route: every factorization of each power z**n, each
+    power with its own sieve, until one is not n copies of z."""
     if not quad_is_irreducible(ring, z):
         raise ZeroOrUnit("absolute irreducibility is about irreducible elements")
     zc = canonical_associate(z)
     for n in range(1, n_max + 1):
-        for sign, atoms in quad_factorizations(ring, ring.power(z, n), budget=budget):
+        for sign, atoms in quad_factorizations(ring, ring.power(z, n)):
             if atoms != (zc,) * n:
                 return QuadAbsirredResult(False, n, sign, atoms)
     return QuadAbsirredResult(True)
 
 
-def least_budget(check):
-    """The least budget at which check(budget) does not raise BudgetExceeded."""
-    def passes(budget):
-        try:
-            check(budget)
-        except BudgetExceeded:
-            return False
-        return True
-    hi = 1
-    while not passes(hi):
-        hi *= 2
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
-    return lo
-
-
 @pytest.mark.parametrize("d", POOL_D)
-def test_brute_absirred_matches_per_power_sieves(d, monkeypatch):
+def test_brute_absirred_matches_per_power_sieves(d):
     ring = QuadRing(d)
     small = [QuadInt(a, b) for a in range(6) for b in range(-2, 3) if ring.norm(QuadInt(a, b)) > 1]
     for z in small:
@@ -439,19 +450,32 @@ def test_brute_absirred_matches_per_power_sieves(d, monkeypatch):
     for z in (QuadInt(0, 0), QuadInt(1, 0), QuadInt(-1, 0)):
         with pytest.raises(ZeroOrUnit):
             quad_brute_absirred(ring, z, 2)
-    # the benchmark's input: both need the same least budget
-    z = next(z for z in (QuadInt(3, 0), QuadInt(2, 1), QuadInt(1, 1), QuadInt(5, 0),
-                         QuadInt(3, 1), QuadInt(7, 0), QuadInt(3, 2))
-             if quad_is_irreducible(ring, z))
-    searched = []
-    search = quadratic._factorizations
-    with monkeypatch.context() as patched:
-        patched.setattr(quadratic, "_factorizations",
-                        lambda *args: searched.append(args[1:3]) or search(*args))
-        quad_brute_absirred(ring, z, 3)
-    # each power is searched over its own irreducible divisors, in sieve order
-    assert searched and all(cands == _irreducible_divisors(ring, t) for t, cands in searched)
-    least = least_budget(lambda budget: quad_brute_absirred(ring, z, 3, budget=budget))
-    assert reference_brute_absirred(ring, z, 3, budget=least) == quad_brute_absirred(ring, z, 3)
-    with pytest.raises(BudgetExceeded, match=f"exceeded {least - 1} divisions"):
-        reference_brute_absirred(ring, z, 3, budget=least - 1)
+
+
+@st.composite
+def pool_elements(draw, max_norm=300):
+    """(ring, z): a pool ring and a nonzero nonunit z = a + b*sqrt(d) with
+    a >= 0 and norm <= max_norm."""
+    ring = QuadRing(draw(st.sampled_from(POOL_D)))
+    absd = -ring.d
+    b = draw(st.integers(-math.isqrt(max_norm // absd), math.isqrt(max_norm // absd)))
+    z = QuadInt(draw(st.integers(0, math.isqrt(max_norm - absd * b * b))), b)
+    assume(ring.norm(z) >= 2)
+    return ring, z
+
+
+@settings(max_examples=300)
+@given(pool_elements(), st.integers(1, 4))
+# 3 = -i * 3i in Z[i]; w = 2 comes before sqrt(-14) in sieve order, w = 1 - sqrt(-26) after 3
+@example((QuadRing(-1), QuadInt(3, 0)), 1)
+@example((QuadRing(-14), QuadInt(0, 1)), 2)
+@example((QuadRing(-26), QuadInt(3, 0)), 4)
+def test_brute_absirred_matches_factorization_listing(ring_z, n_max):
+    # the divisibility scan against the listing of every factorization of each
+    # power; elements that are not irreducible must be refused
+    ring, z = ring_z
+    if not reference_is_irreducible(ring, z):
+        with pytest.raises(ZeroOrUnit):
+            quad_brute_absirred(ring, z, n_max)
+        return
+    assert quad_brute_absirred(ring, z, n_max) == reference_brute_absirred(ring, z, n_max)
