@@ -13,10 +13,9 @@ against fraction-free echelon rows, each carrying its coefficients over the
 members.  A family is Z-independent exactly when every member reduces to a
 nonzero remainder, since a rational relation, cleared of denominators and
 multiplied by the exponent of the torsion, kills the torsion part too.
-``one_signed_circuit`` walks independent families on the same rows to the
-first circuit with a one-signed relation; it serves the kernel criterion and
-the existence search of ``krull``.  ``positive_kernel_vector`` is exact by
-circuits: one pass gives a circuit per dependent member, and the walk runs
+``one_signed_circuit`` walks independent sets of members on the same rows to
+the first circuit with a one-signed relation, for the existence search of
+``krull`` and for ``positive_kernel_vector``, which is exact by circuits: one pass gives a circuit per dependent member, and the walk runs
 only when two or more of them, none one-signed, leave the answer open.
 Smith normal form, on plain row tuples, remains only behind
 ``kernel_lattice``, the source of explicit Z-bases, which nothing else in
@@ -377,21 +376,22 @@ def first_relation(group: FinGenAbelianGroup,
     return next((c for _, c in _fundamental_circuits(_free_parts(group, family))), None)
 
 
-def one_signed_circuit(vectors: Seq[Seq[int]], caps: Seq[int], size_bound: int,
+def one_signed_circuit(vectors: Seq[Seq[int]], size_bound: int,
                        *, skip: int | None = None, budget: int,
                        layer: str) -> tuple[tuple[int, ...], list[int]] | None:
-    """The first multiset of indices, by size and then lexicographically,
-    whose vectors form a circuit with a one-signed relation: (indices,
-    relation), or None.
+    """The first set of indices, by size and then lexicographically, whose
+    vectors form a circuit with a one-signed relation: (indices, relation),
+    or None.
 
-    Index j occurs at most caps[j] times, a family has at most ``size_bound``
-    members, and the singleton (skip,) does not count.  A depth-first walk
-    adds indices in nondecreasing order to independent families only, each
-    carrying its echelon rows, so one ``_eliminate`` pass per extension: a
-    dependent family's one relation vanishes on every member added later, so
-    no superset is a circuit, and every circuit is reached through its
-    independent prefixes.  After a circuit of size s only smaller families
-    are built.  ``budget`` bounds the extensions tried; past it,
+    A family has at most ``size_bound`` members, and the singleton (skip,)
+    does not count.  A depth-first walk adds indices in increasing order to
+    independent families only, each carrying its echelon rows, so one
+    ``_eliminate`` pass per extension: a dependent family's one relation
+    vanishes on every member added later, so no superset is a circuit, and
+    every circuit is reached through its independent prefixes.  No index is
+    added twice: a second copy of j reduces to zero with relation e_j - e_j',
+    never one-signed.  After a circuit of size s only smaller families are
+    built.  ``budget`` bounds the extensions tried; past it,
     BudgetExceeded names ``layer`` and the size reached.
     """
     found = None
@@ -404,8 +404,6 @@ def one_signed_circuit(vectors: Seq[Seq[int]], caps: Seq[int], size_bound: int,
         if j == len(vectors) or len(family) >= limit:
             continue
         stack.append((family, rows, j + 1))
-        if family.count(j) == caps[j]:
-            continue
         tried += 1
         if tried > budget:
             raise BudgetExceeded(f"{layer} search exceeded {budget} families"
@@ -413,7 +411,7 @@ def one_signed_circuit(vectors: Seq[Seq[int]], caps: Seq[int], size_bound: int,
         child = family + (j,)
         pivot, x, c = _eliminate(rows, vectors[j])
         if pivot is not None:
-            stack.append((child, rows + ((pivot, x, c),), j))
+            stack.append((child, rows + ((pivot, x, c),), j + 1))
         elif child != (skip,) and (min(c) > 0 or max(c) < 0):
             found, limit = (child, c), len(child) - 1
     return found
@@ -442,11 +440,10 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
     the elimination gives the fundamental circuits, one per dependent
     member, whose relations span all relations.  The first one-signed one is
     the answer; with none, and fewer than two, there is none.  Only with two
-    or more relations, none one-signed, does ``one_signed_circuit`` (one
-    copy of each member) walk the members in their support; ``budget``
-    counts the extensions it tries.  The answer is the circuit's relation
-    made nonnegative, zero off the circuit, times the order of its torsion
-    sum.
+    or more relations, none one-signed, does ``one_signed_circuit`` walk the
+    members in their support; ``budget`` counts the extensions it tries.  The
+    answer is the circuit's relation made nonnegative, zero off the circuit,
+    times the order of its torsion sum.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -455,9 +452,8 @@ def positive_kernel_vector(group: FinGenAbelianGroup,
     found = next(((s, c) for s, c in circuits if not min(c) < 0 < max(c)), None)
     if found is None and len(circuits) > 1:
         support = sorted({i for s, c in circuits for i, x in zip(s, c) if x})
-        walk = one_signed_circuit([vectors[i] for i in support], (1,) * len(support),
-                                  len(support), budget=budget,
-                                  layer="nonnegative-relation")
+        walk = one_signed_circuit([vectors[i] for i in support], len(support),
+                                  budget=budget, layer="nonnegative-relation")
         if walk is not None:
             found = [support[i] for i in walk[0]], walk[1]
     if found is None:

@@ -13,10 +13,9 @@ when it prints.  ``factor`` lists each factorization by its
 ``atom_indices``, into ``results["atoms"]``: the ascending index tuples of
 :func:`strongatoms.zsm.factorizations` as the table lists them (over atoms
 in lexicographic order, no entry is sorted again), and the report's lengths
-are the tuples' lengths.  ``atoms`` and the all-atoms ``absirred`` report
+are the tuples' lengths.  ``atoms`` and ``absirred``, for one atom or all,
 read every verdict from the atom set's one support sweep
-(:attr:`strongatoms.zsm.AtomSet.support_minimal`); a one-atom ``absirred``
-report scans for that atom alone.
+(:attr:`strongatoms.zsm.AtomSet.support_minimal`).
 ``build_parser`` builds the parser once per process; in-process callers of
 ``main`` share it.
 
@@ -108,23 +107,22 @@ def _atoms_payload(spec, budget):
 def _factor_payload(spec, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     facs = zsm.factorizations(seq, atoms, budget=budget)
-    payload = {
+    lengths = sorted({len(f) for f in facs})
+    return {
         "sequence": _row(seq),
         "atoms": [_row(a) for a in atoms],
         "factorizations": [{"atom_indices": f} for f in facs],
         "count": len(facs),
-        "lengths": sorted({len(f) for f in facs}),
+        "lengths": lengths,
+        "elasticity": str(zsm.length_set_elasticity(lengths)),
     }
-    if facs:
-        payload["elasticity"] = str(zsm.length_set_elasticity(payload["lengths"]))
-    return payload
 
 
 def _lengths_payload(spec, seq, budget):
     atoms = zsm.enumerate_atoms(spec.class_set, budget=budget)
     lengths = sorted(zsm.length_set(seq, atoms, budget=budget))
     return {"sequence": _row(seq), "lengths": lengths,
-            "elasticity": str(zsm.length_set_elasticity(lengths)) if lengths else None}
+            "elasticity": str(zsm.length_set_elasticity(lengths))}
 
 
 def _absirred_payload(spec, seq, budget, nmax):
@@ -150,8 +148,7 @@ def _absirred_payload(spec, seq, budget, nmax):
     if seq is not None:
         if not atoms.contains(seq):
             raise SpecFileError(f"sequence {seq.exponents} is not an atom")
-        return {"atoms": [verdict(atoms[atoms.index(seq)])]}
-    atoms.support_minimal   # one sweep, which every verdict below reads
+        return {"atoms": [verdict(seq)]}
     return {"atoms": [verdict(a) for a in atoms]}
 
 
@@ -238,7 +235,7 @@ def _emit(report: dict, machine: bool, elapsed: float):
             shown = [f"({display(a)})" for a in results["atoms"]]
             for f in results["factorizations"]:
                 print("  " + (" * ".join(shown[i] for i in f["atom_indices"]) or "1"))
-        print(f"lengths: {results['lengths']}  elasticity: {results.get('elasticity')}")
+        print(f"lengths: {results['lengths']}  elasticity: {results['elasticity']}")
     elif cmd == "absirred":
         for a in results["atoms"]:
             ok = a["support_criterion"]

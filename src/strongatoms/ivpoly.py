@@ -201,15 +201,13 @@ def binomial_basis_coefficients(f: RatPoly) -> tuple[Fraction, ...]:
 
 
 def fixed_divisor(g: RatPoly) -> int:
-    """gcd of the values of an integer polynomial; |c| for constants."""
+    """gcd of the values of an integer polynomial, read at 0, ..., deg g
+    (D = 1 in :func:`_scaled_values`); |c| for a constant c."""
     if g.is_zero():
         raise ZeroPolynomial("the zero polynomial has no fixed divisor")
     if not g.is_integer_poly():
         raise NotIntegerValued("fixed divisor is defined for integer polynomials")
-    if g.is_constant():
-        return abs(int(g.coeffs[0]))
-    values = [int(g(k)) for k in range(g.degree + 1)]
-    return math.gcd(*values)
+    return math.gcd(*_scaled_values(g)[1])
 
 
 def divides_in_intz(f: RatPoly, g: RatPoly) -> bool:

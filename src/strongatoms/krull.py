@@ -5,14 +5,14 @@ contain prime divisors, and a multiplicity per class (how many prime divisors
 it contains).  Prime divisors are never materialized individually: every
 criterion decided here depends only on class values and on the distinction
 "exactly one divisor" versus "more than one", so multiplicities above 2 are
-capped at 2 for the existence searches.
+capped at 2 where the existence search reports how far it covered.
 
 Three routes to absolute irreducibility of an atom are implemented and kept
 in agreement: support minimality within the atom set (decided for every atom
-at once by ``AtomSet.support_minimal``, or for one atom by a scan when that
-sweep is not built), the kernel criterion on the support
-family (nonnegative dependence of the whole family, integer independence of
-every proper subfamily), and explicit power-factorization witnesses, whose
+at once by the one sweep ``AtomSet.support_minimal``, which one-atom
+questions read too), the kernel criterion on the support family (nonnegative
+dependence of the whole family, integer independence of every proper
+subfamily), and explicit power-factorization witnesses, whose
 two factorizations are ascending tuples of atom indices as
 ``zsm.factorizations`` lists them.  A power check over small powers
 cross-checks them: u**n has a second factorization exactly when another atom
@@ -27,8 +27,8 @@ spanned by a vector whose entries are all nonzero and of one sign.  Both it
 and the existence search run on the package's one integer elimination in
 ``abgroup``: members are reduced one at a time against integer echelon rows
 (``first_relation``), and the search (``one_signed_circuit``) extends only
-independent families on the same rows, so it never builds a family larger
-than free_rank + 1.
+independent sets of classes on the same rows, so it never builds a family
+larger than free_rank + 1.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class KrullSpec:
 
 def is_absirred_support(u: Sequence, atom_set: AtomSet) -> bool:
     """True iff u is the unique atom whose support is contained in supp(u)
-    (:meth:`AtomSet.is_support_minimal`)."""
-    return atom_set.is_support_minimal(atom_set.index(u))
+    (:attr:`AtomSet.support_minimal`)."""
+    return atom_set.support_minimal[atom_set.index(u)]
 
 
 def is_absirred_kernel(group: FinGenAbelianGroup,
@@ -140,7 +140,7 @@ def witness_non_absirred(u: Sequence, atom_set: AtomSet) -> PowerWitness | None:
     from u they have index at least v's, so the pass reads those from v on.
     v with that factorization is an ascending index tuple as built: u never
     fits (u dividing u**n / v would make v divide u**(n-1)).  Returns None
-    exactly when u has minimal support (:meth:`AtomSet.is_support_minimal`).
+    exactly when u has minimal support (:attr:`AtomSet.support_minimal`).
     """
     iu = atom_set.index(u)
     iv = atom_set.atom_within_support(iu)
@@ -268,13 +268,12 @@ def has_prime_element(spec: KrullSpec) -> bool:
 class AbsirredSearch:
     """Bounded search for an absolutely irreducible nonprime element.
 
-    ``witness`` lists class indices with repetition standing for distinct
-    prime divisors of equal class; it is the first witness by size, then
+    ``witness`` lists distinct class indices, the first witness by size, then
     lexicographically.  ``exhaustive`` is True when the bound covered every
     family (it reaches the sum of the caps), making a negative answer exact.
     Only independent families are extended, so a bound above free_rank + 1
     searches no more families.  ``per_class_cap`` records the capped divisor
-    counts actually searched (multiplicities above 2 decide nothing further).
+    counts whose sum ``exhaustive`` needs (above 2 decides nothing further).
     """
 
     found: bool
@@ -289,18 +288,17 @@ def exists_absirred_nonprime(spec: KrullSpec, support_bound: int,
                              *, budget: int = DEFAULT_NODE_BUDGET) -> AbsirredSearch:
     """Search families of prime divisors for an absolutely irreducible support.
 
-    Families are multisets of classes with per-class multiplicity at most the
-    (capped) number of divisors in that class; the single divisor of class 0
-    is excluded, since that element is prime.  The walk is
-    ``abgroup.one_signed_circuit``: it adds classes in nondecreasing index
-    order to independent families only (a dependent family's relation
-    vanishes on every added member) and, after a witness of size s, builds
-    only smaller families.  ``budget`` bounds the extensions.
+    Families are sets of classes, since no witness repeats a class (see
+    ``abgroup.one_signed_circuit``); the single divisor of class 0 is
+    excluded, since that element is prime.  The walk adds classes in
+    increasing index order to independent families only and, after a witness
+    of size s, builds only smaller families.  ``budget`` bounds the
+    extensions.  The capped multiplicities set ``exhaustive`` alone.
     """
     if support_bound < 1:
         raise ValueError("support_bound must be >= 1")
     caps = spec.capped_mult()
-    found = one_signed_circuit([g.free_part for g in spec.class_set.classes], caps,
+    found = one_signed_circuit([g.free_part for g in spec.class_set.classes],
                                support_bound, skip=spec.class_set.zero_class_index(),
                                budget=budget, layer="absirred-nonprime")
     witness = found[0] if found else None

@@ -22,7 +22,9 @@ command reports its tuples as they are.  Length sets and
 elasticity list no factorization: their table holds length bitmasks and
 steps one atom of the first nonzero class at a time, so it reaches a
 multiset of atoms once for each of its atoms in that class and gives
-lengths, not factorization counts.
+lengths, not factorization counts.  Support minimality, the strong-atom
+test of a Krull monoid, is decided for every atom at once by one sweep
+(:attr:`AtomSet.support_minimal`), which one-atom questions read too.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ class AtomSet:
     used by factorizations and reports.  :attr:`support_minimal` decides for
     every atom at once whether it is the only atom whose support lies in its
     own, with one sweep over the distinct supports that is kept with the set;
-    :meth:`is_support_minimal` answers for one atom without building it.
+    one-atom questions read it too.
     """
 
     class_set: ClassSet
@@ -249,22 +251,14 @@ class AtomSet:
         unique = {m for m in kept if shared[m] == 1}
         return tuple(m in unique for m in self.support_masks)
 
-    def is_support_minimal(self, i: int) -> bool:
-        """Whether atom i is support-minimal: read from :attr:`support_minimal`
-        when the sweep is built, otherwise decided by one scan for atom i, so
-        that a one-atom question does not pay for the whole sweep."""
-        if "support_minimal" in vars(self):
-            return self.support_minimal[i]
-        return self.atom_within_support(i) is None
-
     def atom_within_support(self, i: int) -> int | None:
         """Index of the first other atom whose support lies in atom i's, or
-        None: at once when the sweep is built and marks atom i minimal."""
-        if "support_minimal" in vars(self) and self.support_minimal[i]:
+        None when :attr:`support_minimal` marks atom i minimal; only a
+        non-minimal atom is scanned for, and it has such an atom."""
+        if self.support_minimal[i]:
             return None
         masks = self.support_masks
-        inside = (j for j, mj in enumerate(masks) if j != i and not mj & ~masks[i])
-        return next(inside, None)
+        return next(j for j, mj in enumerate(masks) if j != i and not mj & ~masks[i])
 
     def index(self, s: Sequence) -> int:
         try:

@@ -675,6 +675,20 @@ def bundled_machine_reports(path, capsys):
 
 
 @pytest.mark.parametrize("path", BUNDLED_SPECS, ids=lambda p: p.stem)
+def test_one_atom_absirred_rows_match_the_all_atoms_report(path, capsys):
+    # every atom's one-atom report holds exactly its row of the all-atoms one
+    code, out = run_cli(capsys, "absirred", "--spec", str(path), "--nmax", "3", "--machine")
+    assert code == 0
+    rows = json.loads(out)["results"]["atoms"]
+    assert rows
+    for row in rows:
+        code, out = run_cli(capsys, "absirred", "--spec", str(path), "--nmax", "3",
+                            "--sequence", ",".join(map(str, row["exponents"])), "--machine")
+        assert code == 0
+        assert json.loads(out)["results"]["atoms"] == [row]
+
+
+@pytest.mark.parametrize("path", BUNDLED_SPECS, ids=lambda p: p.stem)
 def test_machine_reports_equal_stdlib_encoding(path, capsys):
     for out in bundled_machine_reports(path, capsys):
         assert_stdlib_encoded(out)

