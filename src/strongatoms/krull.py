@@ -268,12 +268,16 @@ def has_prime_element(spec: KrullSpec) -> bool:
 class AbsirredSearch:
     """Bounded search for an absolutely irreducible nonprime element.
 
-    ``witness`` lists distinct class indices, the first witness by size, then
-    lexicographically.  ``exhaustive`` is True when the bound covered every
-    family (it reaches the sum of the caps), making a negative answer exact.
-    Only independent families are extended, so a bound above free_rank + 1
-    searches no more families.  ``per_class_cap`` records the capped divisor
-    counts whose sum ``exhaustive`` needs (above 2 decides nothing further).
+    The walk takes sets of classes, so ``witness`` lists distinct class
+    indices: the first witness by size, then lexicographically.
+    ``exhaustive`` is True when the bound covered every family (it reaches
+    the sum of the caps), making a negative answer exact.  Only independent
+    families are extended, so a bound above free_rank + 1 searches no more
+    families.  ``per_class_cap`` (``per_class_divisor_cap`` in reports), the
+    capped divisor counts (above 2 decides nothing further), only sets
+    ``exhaustive``; the walk applies no cap.  ``family_semantics`` is a fixed
+    string, kept only so that machine reports stay byte-identical until
+    report version 4 drops the field (ROADMAP.md, item 8).
     """
 
     found: bool

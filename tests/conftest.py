@@ -1,17 +1,40 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and the map of its
+references: each layer has one reference that shares no method with the
+library, and literal pins stand in for what only a copy of former library
+code checked (result order, node and division counts, budget boundaries,
+report bytes).  A new fast path adds inputs to its layer's reference.
 
-These deliberately avoid the library's own code paths: determinants are
-cofactor expansions, linear solving and ranks are rational Gaussian
-elimination, kernel searches are bounded brute force, and the existence of
-a nonnegative relation is decided by vertex enumeration.  The hypothesis
-strategy at the end only builds inputs with the library's group classes.
-The suite's hypothesis profile is registered and loaded here.
+- Rational relations, kernel criterion, existence walk: ``rational_rank``,
+  ``solve_rational``, ``nonneg_relation_exists`` and ``in_lattice`` here, with
+  ``kernel_criterion`` and ``first_absirred_family`` (every class multiset)
+  on them; pins: the relation in ``test_krull.py``'s mixed-sign families,
+  ``test_absirred_search_family_count``, ``FORMER_BUDGET_FAILURES``.
+- Kernel lattices and Smith normal form: ``cofactor_det`` and
+  ``brute_kernel_vectors`` here (``in_lattice`` for membership).
+- Completion search: the linear scan and the box-minimal brute force in
+  ``test_abgroup.py``; pins: ``LARGER_SYSTEM_BUDGETS``,
+  ``FORMER_INPUT_BUDGETS``, the signed basis's 5n - 1 insertions.
+- Atom enumeration: ``brute_force_atoms`` and ``walk_is_minimal_zero_sum`` in
+  ``test_zsm.py``.
+- Factorization tables and reports: ``next_index_vector_factorizations`` in
+  ``factorization_search.py``; pins: ``B_ZN_FACTOR_LEAST_BUDGETS`` and
+  ``WIDE_SYSTEM_BUDGETS`` in ``test_zsm.py``, ``FACTOR_REPORT_SHA256`` in
+  ``test_cli.py``.
+- Z[sqrt d]: ``per_element_half_factorial_check``, ``reference_is_irreducible``
+  and ``reference_brute_absirred`` in ``test_quadratic.py``; pins:
+  ``HALF_FACTORIAL_DIVISIONS``.
+
+Determinants are cofactor expansions, linear solving and ranks are rational
+Gaussian elimination, kernel searches are bounded brute force, and the
+existence of a nonnegative relation is decided by vertex enumeration.  The
+hypothesis strategy at the end only builds inputs with the library's group
+classes.  The suite's hypothesis profile is registered and loaded here.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
-import pytest
 from hypothesis import settings, strategies as st
 
 from strongatoms.abgroup import FinGenAbelianGroup
@@ -51,37 +74,23 @@ def solve_rational(columns, target):
     if not columns:
         return [] if not any(target) else None
     rows = len(columns[0])
+    ncols = len(columns)
     aug = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
            for i in range(rows)]
-    ncols = len(columns)
-    pivot_row = 0
-    pivots = []
     for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, rows):
-            if aug[r][col] != 0:
-                hit = r
-                break
+        hit = next((r for r in range(col, rows) if aug[r][col]), None)
         if hit is None:
-            continue
-        aug[pivot_row], aug[hit] = aug[hit], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
+            return None  # columns not independent; caller should not rely on this
+        aug[col], aug[hit] = aug[hit], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
         for r in range(rows):
-            if r != pivot_row and aug[r][col] != 0:
+            if r != col and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    if len(pivots) < ncols:
-        return None  # columns not independent; caller should not rely on this
-    for r in range(pivot_row, rows):
-        if aug[r][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][-1]
-    return sol
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    if any(aug[r][-1] for r in range(ncols, rows)):
+        return None
+    return [aug[r][-1] for r in range(ncols)]
 
 
 def rational_rank(rows):
@@ -94,8 +103,9 @@ def rational_rank(rows):
             continue
         mat[rank], mat[hit] = mat[hit], mat[rank]
         for i in range(rank + 1, len(mat)):
-            f = mat[i][col] / mat[rank][col]
-            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+            if mat[i][col]:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 
@@ -124,6 +134,44 @@ def in_lattice(basis, vector):
     sol = solve_rational(basis, vector)
     return sol is not None and all(c.denominator == 1 for c in sol)
 
+
+def kernel_criterion(family):
+    """The kernel criterion by definition: every proper subfamily is
+    Z-independent and the family has a nonzero nonnegative relation.  Both
+    are read off the free parts: integer and rational independence agree,
+    and a nonnegative rational relation, cleared of denominators and
+    multiplied by the exponent of the torsion, is a group relation."""
+    vectors = tuple(g.free_part for g in family)
+    # an independent family has no relation at all: skip vertex enumeration
+    return (not independent(vectors)
+            and all(independent(vectors[:i] + vectors[i + 1:]) for i in range(len(vectors)))
+            and nonneg_relation_exists(vectors))
+
+
+@lru_cache(maxsize=1 << 14)
+def independent(vectors):
+    """The vectors (a tuple) are linearly independent over Q: no more of
+    them than their length, and of full rank.  Cached: the multiset
+    enumeration asks again for every family one member larger."""
+    return not vectors or (len(vectors) <= len(vectors[0])
+                           and rational_rank(vectors) == len(vectors))
+
+
+def first_absirred_family(spec, support_bound):
+    """The first multiset of class indices, by size and then
+    lexicographically, with at most ``support_bound`` members and at most
+    ``spec.capped_mult()[i]`` copies of class i, whose classes meet the
+    kernel criterion; the single zero class does not count.  None if no
+    multiset does."""
+    classes = spec.class_set.classes
+    caps = spec.capped_mult()
+    zero = (spec.class_set.zero_class_index(),)
+    for size in range(1, support_bound + 1):
+        for combo in combinations_with_replacement(range(len(classes)), size):
+            if combo != zero and all(combo.count(i) <= caps[i] for i in combo) and (
+                    kernel_criterion([classes[i] for i in combo])):
+                return combo
+    return None
 
 def group_combination(family, alphas):
     """sum alpha_i * g_i using the library's group arithmetic."""
@@ -179,12 +227,3 @@ def small_families(draw, max_members=4, amp=2, torsions=SMALL_TORSIONS):
     members = draw(st.lists(coords, min_size=1, max_size=max_members))
     return group, [group.element(c) for c in members]
 
-
-@pytest.fixture
-def oracles():
-    return {
-        "cofactor_det": cofactor_det,
-        "in_lattice": in_lattice,
-        "brute_kernel_vectors": brute_kernel_vectors,
-        "brute_nonneg_kernel_exists": brute_nonneg_kernel_exists,
-    }

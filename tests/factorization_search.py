@@ -1,57 +1,17 @@
-"""Factorization searches kept as independent references for the tests:
-the former recursive search and the former explicit-stack search over atom
-multiplicities, each with a ``limit`` that stops it at the ``limit``-th
-factorization in lexicographic order, and the power check and witness
-cofactor built on them.
+"""The factorization search kept as an independent reference for the tests:
+an explicit-stack search over atom multiplicities, with a ``limit`` that
+stops it at the ``limit``-th factorization in lexicographic order, and the
+power check built on it.
 """
 
 
-def recursive_vector_factorizations(target, atom_vectors, limit=None):
-    """Reference: the former recursive search, one atom per call frame in
-    nondecreasing index order, with suffix-cover pruning."""
-    m = len(target)
-    n = len(atom_vectors)
-    masks = [sum(1 << j for j in range(m) if v[j]) for v in atom_vectors]
-    suffix_cover = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | masks[i]
-    lengths = [sum(v) for v in atom_vectors]
-    out = []
-    rem = list(target)
-    acc = []
-
-    def rec(total, start):
-        if total == 0:
-            out.append(tuple(acc))
-            return limit is not None and len(out) >= limit
-        needed = sum(1 << j for j in range(m) if rem[j])
-        if needed & ~suffix_cover[start]:
-            return False
-        for i in range(start, n):
-            v = atom_vectors[i]
-            if lengths[i] > total:
-                continue
-            if all(v[j] <= rem[j] for j in range(m)):
-                for j in range(m):
-                    rem[j] -= v[j]
-                acc.append(i)
-                stop = rec(total - lengths[i], i)
-                acc.pop()
-                for j in range(m):
-                    rem[j] += v[j]
-                if stop:
-                    return True
-        return False
-
-    rec(sum(target), 0)
-    return out
-
-
 def next_index_vector_factorizations(target, atom_vectors, limit=None):
-    """Reference: the former explicit-stack search over atom multiplicities,
-    taking atoms in increasing index order, each with as many copies as fit
-    and then one fewer at a time, the next atom looked up among those whose
-    support lies inside the remainder's."""
+    """Every multiset of atom vectors summing to ``target``, as nondecreasing
+    index tuples in lexicographic order (the first ``limit`` of them).
+
+    Atoms are taken in increasing index order, each with as many copies as
+    fit and then one fewer at a time, the next atom looked up among those
+    whose support lies inside the remainder's."""
     n = len(atom_vectors)
     supports = [tuple(j for j, x in enumerate(v) if x) for v in atom_vectors]
     masks = [sum(1 << j for j in s) for s in supports]

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from strongatoms.abgroup import (
     INFINITE,
     FinGenAbelianGroup,
+    _fundamental_circuits,
     abelian_groups_of_order,
+    first_relation,
     is_z_independent,
     kernel_lattice,
     minimal_nonneg_kernel,
@@ -25,7 +27,6 @@ from strongatoms.nummon import NumericalMonoid, nm_factorizations
 from strongatoms.quadratic import QuadInt, QuadRing
 from strongatoms.zsm import ClassSet, Sequence, enumerate_atoms
 
-from completion_before_pruning import minimal_nonneg_kernel_before_pruning
 from conftest import (
     brute_kernel_vectors,
     brute_nonneg_kernel_exists,
@@ -36,10 +37,6 @@ from conftest import (
     nonneg_relation_exists,
     rational_rank,
     small_families,
-)
-from rational_relations_before import (
-    positive_kernel_vector_before_circuits,
-    rational_relations,
 )
 
 Z2 = FinGenAbelianGroup.free(2)
@@ -346,45 +343,50 @@ def test_is_z_independent_two_sided():
                 assert group_combination(family, vec).is_zero()
 
 
+def free_rank_deficiency(family):
+    """The number of independent rational relations of the free parts."""
+    return len(family) - rational_rank([g.free_part for g in family])
+
+
 @settings(max_examples=300)
 @given(small_families())
-def test_is_z_independent_matches_kernel_lattice(case):
+def test_is_z_independent_matches_rational_rank(case):
     group, family = case
-    assert is_z_independent(group, family) == (not kernel_lattice(group, family))
+    assert is_z_independent(group, family) == (free_rank_deficiency(family) == 0)
 
 
 @settings(max_examples=300)
 @given(small_families(max_members=6, amp=50, torsions=((), (2,), (6,), (2, 2))))
-def test_is_z_independent_matches_bareiss_and_rational_rank(case):
-    # the Bareiss elimination it replaces, and the rank of the free parts
+def test_is_z_independent_matches_rational_rank_on_wide_entries(case):
     group, family = case
-    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
-    independent = is_z_independent(group, family)
-    assert independent == (not rational_relations(group, family))
-    assert independent == (rational_rank(rows) == len(family))
+    assert is_z_independent(group, family) == (free_rank_deficiency(family) == 0)
 
 
-def test_rational_relations_examples():
-    assert rational_relations(Z2, []) == []
-    assert rational_relations(Z2, [e(0), e(1)]) == []
-    # free rank 0: every member is torsion, so each is a relation by itself
+def test_first_relation_examples():
+    assert first_relation(Z2, []) is None
+    assert first_relation(Z2, [e(0), e(1)]) is None
+    # free rank 0: every member is torsion, so the first is a relation by itself
     c6 = FinGenAbelianGroup.cyclic(6)
-    assert rational_relations(c6, [c6.element((1,)), c6.element((3,))]) == [(1, 0), (0, 1)]
+    assert first_relation(c6, [c6.element((1,)), c6.element((3,))]) == [1]
     g = FinGenAbelianGroup.free(1).element((1,))
-    assert rational_relations(g.group, [2 * g, -3 * g]) == [(3, 2)]
+    assert first_relation(g.group, [2 * g, -3 * g]) == [3, 2]
     with pytest.raises(DimensionMismatch):
-        rational_relations(Z2, [C3.element((1,))])
+        first_relation(Z2, [C3.element((1,))])
 
 
 @settings(max_examples=200)
 @given(small_families(max_members=6, amp=50, torsions=((),)))
-def test_rational_relations_basis_of_rational_kernel(case):
+def test_fundamental_circuits_span_the_rational_relations(case):
     # entries in +-50 are far outside what the Smith normal form handles
     group, family = case
     m = len(family)
-    rels = rational_relations(group, family)
-    rows = [[g.free_part[i] for g in family] for i in range(group.free_rank)]
-    assert len(rels) == m - rational_rank(rows)
+    rels = []
+    for indices, relation in _fundamental_circuits([g.free_part for g in family]):
+        v = [0] * m
+        for i, x in zip(indices, relation):
+            v[i] = x
+        rels.append(tuple(v))
+    assert len(rels) == free_rank_deficiency(family)
     if rels:
         assert rational_rank(rels) == len(rels)
     for v in rels:
@@ -476,23 +478,6 @@ def test_positive_kernel_vector_two_sided():
             assert group_combination(family, vec).is_zero()
 
 
-def positive_kernel_vector_by_lattice(group, family):
-    """The Smith-normal-form route: sign test on a rank-one kernel lattice,
-    else the first solution of the completion search."""
-    basis = kernel_lattice(group, family)
-    if not basis:
-        return None
-    if len(basis) == 1:
-        b = basis[0]
-        if all(x >= 0 for x in b):
-            return b
-        if all(x <= 0 for x in b):
-            return tuple(-x for x in b)
-        return None
-    sols = minimal_nonneg_kernel(zero_sum_columns(group, family))
-    return sols[0][:len(family)] if sols else None
-
-
 def test_positive_kernel_vector_mixed_sign_line():
     # one mixed-sign rational relation; the SNF of this matrix explodes
     rows = [[10, 21, -38, -5, 5, -10], [28, 31, -24, 20, 11, 6],
@@ -503,32 +488,28 @@ def test_positive_kernel_vector_mixed_sign_line():
     assert positive_kernel_vector(group, family) is None
 
 
-@settings(max_examples=300)
-@given(small_families())
-def test_positive_kernel_vector_matches_kernel_lattice_route(case):
-    # the same vector as both former routes with at most one relation; with
-    # more, the circuit found first need not carry the completion search's
-    # first solution
-    group, family = case
-    vec = positive_kernel_vector(group, family)
-    want = positive_kernel_vector_by_lattice(group, family)
-    if len(kernel_lattice(group, family)) <= 1:
-        assert vec == want == positive_kernel_vector_before_circuits(group, family)
-    else:
-        assert (vec is None) == (want is None)
-        if vec is not None:
-            assert any(vec) and all(x >= 0 for x in vec)
-            assert group_combination(family, vec).is_zero()
-
-
 def _check_positive_kernel_vector(group, family, vec):
     """vec is None exactly when vertex enumeration finds no nonnegative
     relation of the free parts, and otherwise a nonzero nonnegative group
-    relation."""
+    relation; with one rational relation, the one that generates them all."""
     assert (vec is not None) == nonneg_relation_exists([g.free_part for g in family])
     if vec is not None:
         assert len(vec) == len(family) and any(vec) and all(x >= 0 for x in vec)
         assert group_combination(family, vec).is_zero()
+        if free_rank_deficiency(family) == 1:
+            # the integer relations are the multiples of the least multiple
+            # of the primitive w that is one
+            common = math.gcd(*vec)
+            least = next(v for v in (tuple(n * x // common for x in vec) for n in count(1))
+                         if group_combination(family, v).is_zero())
+            assert in_lattice([vec], least)
+
+
+@settings(max_examples=300)
+@given(small_families())
+def test_positive_kernel_vector_matches_rank_and_vertex_enumeration(case):
+    group, family = case
+    _check_positive_kernel_vector(group, family, positive_kernel_vector(group, family))
 
 
 @settings(max_examples=300)
@@ -560,9 +541,7 @@ def generated_families():
 
 # draws on which the former route (the Bareiss relations, then the pruned
 # completion search with limit=1) exceeded budget 20,000, with whether a
-# nonnegative relation exists; that search at budget 10^6 agrees.  The copy in
-# rational_relations_before, on the search before pruning, stops at 20,000 on
-# these and four more, which the loop below then skips.
+# nonnegative relation exists; that search at budget 10^6 agrees
 FORMER_BUDGET_FAILURES = {340: False, 516: True, 1802: False, 2726: False,
                           2910: True, 2915: True}
 
@@ -574,15 +553,7 @@ def test_positive_kernel_vector_on_generated_families_needs_no_budget():
         vec = positive_kernel_vector(group, family, budget=30)  # 30 is the most tried here
         if i in FORMER_BUDGET_FAILURES:
             assert (vec is not None) == FORMER_BUDGET_FAILURES[i]
-        if len(rational_relations(group, family)) <= 1:
-            assert vec == positive_kernel_vector_before_circuits(group, family)
-            continue
         _check_positive_kernel_vector(group, family, vec)
-        try:
-            before = positive_kernel_vector_before_circuits(group, family, budget=20_000)
-        except BudgetExceeded:
-            continue
-        assert (vec is None) == (before is None)
 
 
 def test_minimal_nonneg_kernel_simple_systems():
@@ -722,77 +693,51 @@ def small_systems(draw):
     return cols
 
 
+def assert_matches_linear_scan(cols, cap):
+    """The library's solutions, in order, are the linear scan's, and its
+    insertion count is the pruned scan's.  A few percent of the inputs need
+    more than ``cap`` insertions even pruned; there the library must stop
+    where the pruned scan stops.  The scan without pruning, run when it
+    stays within 2,000 insertions, checks the pruned one."""
+    try:
+        want, n = linear_scan_minimal_nonneg_kernel(cols, cap, prune=True)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            minimal_nonneg_kernel(cols, budget=cap)
+        return
+    try:
+        unfrozen_want, unfrozen_nodes = linear_scan_minimal_nonneg_kernel(cols, 2000)
+    except BudgetExceeded:
+        pass
+    else:
+        frozen_want, frozen_nodes = linear_scan_minimal_nonneg_kernel(cols, 2000, freeze=True)
+        assert frozen_want == unfrozen_want == want
+        assert n <= frozen_nodes <= unfrozen_nodes
+    assert_least_completion_budget(cols, n, want)
+
+
+def assert_least_completion_budget(cols, budget, want):
+    """The library returns ``want`` at ``budget`` insertions and names the
+    budget when it stops one below."""
+    assert minimal_nonneg_kernel(cols, budget=budget) == want
+    if budget:
+        with pytest.raises(BudgetExceeded,
+                           match=f"^completion search exceeded {budget - 1} nodes "):
+            minimal_nonneg_kernel(cols, budget=budget - 1)
+
+
 @settings(max_examples=300)
 @given(small_systems())
 def test_minimal_nonneg_kernel_matches_linear_scan(cols):
-    # a few percent of these systems need more insertions than the slow
-    # reference should make; there the library must stop where the pruned
-    # reference stops
-    cap = 2000
-    try:
-        want, unfrozen_nodes = linear_scan_minimal_nonneg_kernel(cols, cap)
-    except BudgetExceeded:
-        try:
-            want, _ = linear_scan_minimal_nonneg_kernel(cols, cap, prune=True)
-        except BudgetExceeded:
-            with pytest.raises(BudgetExceeded):
-                minimal_nonneg_kernel(cols, budget=cap)
-        else:
-            assert minimal_nonneg_kernel(cols, budget=cap) == want
-        return
-    frozen_want, frozen_nodes = linear_scan_minimal_nonneg_kernel(
-        cols, cap, freeze=True)
-    pruned_want, n = linear_scan_minimal_nonneg_kernel(cols, cap, prune=True)
-    assert frozen_want == want and pruned_want == want
-    assert n <= frozen_nodes <= unfrozen_nodes
-    assert minimal_nonneg_kernel(cols, budget=n) == want
-    if n:
-        with pytest.raises(BudgetExceeded):
-            minimal_nonneg_kernel(cols, budget=n - 1)
+    assert_matches_linear_scan(cols, 2000)
 
 
-def indexed_minimal_nonneg_kernel(columns):
-    """The completion search without frozen coordinates: a frontier dict that
-    drops a child already reached from an earlier parent, with the bucket
-    index for the domination test and inner products from the Gram matrix."""
-    m = len(columns)
-    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
-            for ci in columns]
-    sols = []
-    buckets = [{} for _ in range(m)]
-    frontier = {}
-    for i in range(m):
-        unit = tuple(int(i == j) for j in range(m))
-        frontier[unit] = (gram[i], gram[i][i], 1 << i)
-    while frontier:
-        for t, (_, norm, mask) in frontier.items():
-            if norm == 0:
-                sols.append(t)
-                for j, x in enumerate(t):
-                    if x:
-                        buckets[j].setdefault(x, []).append((mask, t))
-        nxt = {}
-        for t, (d, norm, mask) in frontier.items():
-            if norm == 0:
-                continue
-            for i, di in enumerate(d):
-                if di >= 0:
-                    continue
-                ti = t[i] + 1
-                child = t[:i] + (ti,) + t[i + 1:]
-                if child in nxt:
-                    continue
-                cmask = mask | (1 << i)
-                outside = ~cmask
-                for smask, s in buckets[i].get(ti, ()):
-                    if not smask & outside and all(a >= b for a, b in zip(child, s)):
-                        break
-                else:
-                    gi = gram[i]
-                    nxt[child] = (tuple(a + b for a, b in zip(d, gi)),
-                                  norm + 2 * di + gi[i], cmask)
-        frontier = nxt
-    return sols
+@settings(max_examples=200)
+@given(small_families(max_members=5, amp=3,
+                      torsions=((2,), (3,), (2, 4), (6,), (5,), (2, 2))))
+def test_minimal_nonneg_kernel_matches_linear_scan_on_group_families(case):
+    # free parts next to torsion residues and their slack columns -d
+    assert_matches_linear_scan(zero_sum_columns(*case), 20000)
 
 
 def _signed_basis_columns(n):
@@ -814,42 +759,44 @@ def _larger_systems():
         yield f"rank 1 {values}", [(v,) for v in values]
 
 
-@pytest.mark.parametrize("name, cols", list(_larger_systems()),
-                         ids=[name for name, _ in _larger_systems()])
-def test_minimal_nonneg_kernel_matches_indexed_search_on_larger_systems(name, cols):
-    assert minimal_nonneg_kernel(cols) == indexed_minimal_nonneg_kernel(cols)
+# the least budget of the completion search on each of _larger_systems(), in order
+LARGER_SYSTEM_BUDGETS = (14, 19, 24, 29, 34, 39, 44, 49, 54, 59,
+                         197, 108, 221, 295, 415, 579,
+                         8, 34, 39, 14, 21, 38, 31, 79)
 
 
-def _least_budget(search, cols, cap):
-    """The least budget at which ``search`` finishes on ``cols``: its number
-    of insertions, found by bisection; None beyond ``cap``."""
-    def finishes(budget):
-        try:
-            search(cols, budget=budget)
-        except BudgetExceeded:
-            return False
-        return True
-
-    if not finishes(cap):
-        return None
-    lo, hi = -1, cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
-    return hi
+@pytest.mark.parametrize("cols, budget", [
+    (cols, budget) for (_, cols), budget in zip(_larger_systems(), LARGER_SYSTEM_BUDGETS)],
+    ids=[name for name, _ in _larger_systems()])
+def test_minimal_nonneg_kernel_matches_linear_scan_on_larger_systems(cols, budget):
+    want, _ = linear_scan_minimal_nonneg_kernel(cols, 10_000)
+    assert_least_completion_budget(cols, budget, want)
 
 
-@settings(max_examples=200)
-@given(small_families(max_members=5, amp=3,
-                      torsions=((2,), (3,), (2, 4), (6,), (5,), (2, 2))))
-def test_minimal_nonneg_kernel_matches_search_before_pruning(case):
-    # free parts next to torsion residues and their slack columns -d
-    cols = zero_sum_columns(*case)
-    before = _least_budget(minimal_nonneg_kernel_before_pruning, cols, 20000)
-    if before is None:
-        return
-    assert (minimal_nonneg_kernel(cols, budget=before)
-            == minimal_nonneg_kernel_before_pruning(cols))
+# the six inputs with the most insertions among those drawn for
+# test_minimal_nonneg_kernel_matches_linear_scan_on_group_families (the
+# search before pruning needed up to 20,000 on these draws), with the
+# library's least budget
+FORMER_INPUT_BUDGETS = [
+    ([(2, 0, -3, 3), (-2, -2, 0, 5), (2, 2, 2, 3), (-3, -1, 3, 0), (-1, 3, -2, 0),
+      (0, 0, 0, -6)], 7235),
+    ([(-1, -2, 1, 2), (-3, -3, 0, 3), (2, -2, 1, 1), (1, 3, 0, 2), (3, 0, 0, 0),
+      (0, 0, -2, 0), (0, 0, 0, -4)], 4548),
+    ([(-1, 3, 1, 3), (2, 3, 3, 0), (3, -3, -3, 0), (-3, 0, 0, 5), (3, -3, -3, 3),
+      (0, 0, 0, -6)], 4464),
+    ([(2, 3, 3), (2, 1, 0), (3, 0, 3), (-1, -1, 4), (-2, 0, 5), (0, 0, -6)], 2568),
+    ([(3, -2, 0), (0, 3, 1), (-3, -2, 2), (-1, 1, 2), (1, -2, 2), (0, 0, -5)], 1464),
+    ([(-3, 3, 0, 3), (2, 2, 1, 1), (-2, 2, 0, 1), (-1, -1, 1, 2), (1, -3, 0, 3),
+      (0, 0, -2, 0), (0, 0, 0, -4)], 1416),
+]
+
+
+@pytest.mark.parametrize("cols, budget", FORMER_INPUT_BUDGETS)
+def test_minimal_nonneg_kernel_insertions_on_former_inputs(cols, budget):
+    # the scan without pruning would need 4,574 to 210,758 insertions here
+    want, nodes = linear_scan_minimal_nonneg_kernel(cols, budget, prune=True)
+    assert nodes == budget
+    assert_least_completion_budget(cols, budget, want)
 
 
 @pytest.mark.parametrize("n", range(3, 17))

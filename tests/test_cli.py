@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import pathlib
@@ -7,18 +8,16 @@ import re
 import subprocess
 import sys
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongatoms import cli, zsm
+from strongatoms import zsm
 from strongatoms.abgroup import FinGenAbelianGroup
 from strongatoms.cli import EXIT_INTERNAL, _display, build_parser, main, parse_sequence
 from strongatoms.specfile import SpecFileError, load_spec, parse_spec_dict, spec_to_dict
 
 from conftest import B_ZN_FACTOR_TARGETS
-from factor_report_before import factor_lines_v2, factor_payload_before
+from factorization_search import next_index_vector_factorizations
 
 CYCLIC3_SPEC = """{
   "group": {"free_rank": 0, "torsion": [3]},
@@ -720,7 +719,7 @@ def test_machine_reports_hold_no_floats(path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# factor reports against the library and the version-1 display rule
+# factor reports against the factorization search and the version-1 display rule
 
 
 def v1_factorization_display(atom_exponents, atom_indices, labels):
@@ -733,15 +732,23 @@ def v1_factorization_display(atom_exponents, atom_indices, labels):
     return " * ".join(f"({display(atom_exponents[i])})" for i in atom_indices) or "1"
 
 
-def check_factor_against_library(path, seq_text):
+def check_factor_report(path, seq_text):
+    """The machine report of ``factor`` lists the search's factorizations in
+    its order, in stdlib JSON encoding; the human report prints them with the
+    version-1 display rule.  Returns the machine report."""
     spec, labels = load_spec(path)
     seq = parse_sequence(seq_text, spec.class_set, labels)
     atoms = zsm.enumerate_atoms(spec.class_set)
-    facs = zsm.factorizations(seq, atoms)
-    code, out = run_redirected("factor", "--spec", str(path), "--sequence", seq_text,
-                               "--machine")
+    facs = next_index_vector_factorizations(seq.exponents, [a.exponents for a in atoms])
+    code, machine = run_redirected("factor", "--spec", str(path), "--sequence", seq_text,
+                                   "--machine")
     assert code == 0
-    results = json.loads(out)["results"]
+    assert_stdlib_encoded(machine)
+    report = json.loads(machine)
+    assert (report["command"], report["report_version"], report["status"]) == ("factor", 3, "ok")
+    results = report["results"]
+    assert set(results) == {"sequence", "atoms", "factorizations", "count", "lengths",
+                            "elasticity"}
     assert [f["atom_indices"] for f in results["factorizations"]] == [
         list(f) for f in facs]
     assert all(set(f) == {"atom_indices"} for f in results["factorizations"])
@@ -754,22 +761,60 @@ def check_factor_against_library(path, seq_text):
     code, out = run_redirected("factor", "--spec", str(path), "--sequence", seq_text)
     assert code == 0
     lines = human_lines(out)
-    assert lines[1] == f"{len(facs)} factorizations of {_display(seq.exponents, labels)}"
+    assert lines[:2] == ["command: factor",
+                         f"{len(facs)} factorizations of {_display(seq.exponents, labels)}"]
     exponents = [a["exponents"] for a in results["atoms"]]
     assert lines[2:-1] == [
         "  " + v1_factorization_display(exponents, f["atom_indices"], labels)
         for f in results["factorizations"]]
+    assert lines[-1] == f"lengths: {results['lengths']}  elasticity: {results['elasticity']}"
+    return machine
+
+
+# SHA-256 of the machine report of ``factor``: on each bundled spec for the
+# product of all its atoms, and on B(Z/n minus 0) for each benchmark target
+FACTOR_REPORT_SHA256 = {
+    "cyclic3_full": "038d328b6195bc045629a2a792be9441f040182bb3e36e26c5a47b90714120bf",
+    "integers_three_classes": "bcdd0ecd1034b841e9b15312c761ba4d6931ba56f2b5b2bedf44bd7181d85f5e",
+    "signed_basis_n2": "28a6119f684d4613d99194500b07ead433a01272f439f8147e1f2046ab448c3f",
+    "signed_basis_n2_with_zero":
+        "ee5aaaf6435e90a0303ed08d33c3ea4e112e0893dbc5eddee684be0351d925e9",
+    "two_classes_one_doubled": "20a02e3a0be716eee78fc17941e2a816ea538b5c75b23317d422c9e28e5a2daa",
+    (4, (16, 16, 16)): "0250ce2d05def470b40f76fe5ed730a5198edc933d9a744d5bb5575ba6beeeed",
+    (5, (10, 10, 10, 10)): "e72667a245710b5a990304baa03b7fc06b24876f5c45d849146edc713a05c5d7",
+    (5, (8, 8, 8, 8)): "265216af874b47806ea62843c2721702da6eb123cb0e5ed62d1269c38c2e097b",
+    (5, (10, 9, 10, 8)): "634353895c47be4d3506d9340ea07520e6a4152d0c81bac8342e794ab427dd05",
+    (6, (6, 6, 6, 6, 6)): "5d263a2dd88e7b1ae85592cd7be2c86d989356791ecf69d7e42c3f24782bcd89",
+    (6, (5, 6, 4, 6, 5)): "8dba281f20b999eb700e6a00fe4eaf847b911f40295aa703fcde2aa524bae0c9",
+    (6, (6, 5, 6, 5, 6)): "04d6d608d225a011b70b51b220354b02c146e8946dbdcb217c69f9537ae93feb",
+    (7, (4, 4, 4, 4, 4, 4)): "66e3f092298c1fadabb41e8aa85e4df07d545bbc7a96ef7057b860c7f9b07953",
+    (7, (3, 4, 3, 4, 3, 2)): "717218d914c9af3ea6e685096b1f77089633025b77a775a7173d46b125b7571f",
+    (7, (3, 3, 3, 3, 3, 3)): "7d7ac1802b841e715e8a7620959f98ff670b255a3e732d268ae1db858f9b1e89",
+}
+
+
+def check_factor_report_bytes(path, seq_text, key):
+    machine = check_factor_report(path, seq_text)
+    assert hashlib.sha256(machine.encode()).hexdigest() == FACTOR_REPORT_SHA256[key]
 
 
 @pytest.mark.parametrize("path", BUNDLED_SPECS, ids=lambda p: p.stem)
-def test_factor_report_matches_library_and_v1_display(path, capsys):
-    check_factor_against_library(path, product_of_atoms(path, capsys))
+def test_factor_report_matches_search_and_v1_display(path, capsys):
+    check_factor_report_bytes(path, product_of_atoms(path, capsys), path.stem)
+
+
+@pytest.mark.parametrize("n, target", B_ZN_FACTOR_TARGETS)
+def test_factor_report_on_benchmark_targets(tmp_path, n, target):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [n]},
+                                "classes": [[k] for k in range(1, n)]}))
+    check_factor_report_bytes(path, ",".join(map(str, target)), (n, target))
 
 
 @pytest.mark.parametrize("name", ["cyclic3_full", "two_classes_one_doubled"])
 @settings(max_examples=40)
 @given(multiplicities=st.lists(st.integers(0, 4), min_size=3, max_size=3))
-def test_factor_report_matches_library_on_generated_sequences(name, multiplicities):
+def test_factor_report_matches_search_on_generated_sequences(name, multiplicities):
     # zero-sum sequences as products of atoms, with up to 4 copies of each
     # (the doubled spec has two atoms; zip drops the third multiplicity)
     path = SPECS_DIR / f"{name}.json"
@@ -777,41 +822,7 @@ def test_factor_report_matches_library_on_generated_sequences(name, multipliciti
     atoms = zsm.enumerate_atoms(spec.class_set)
     exps = [sum(m * a.exponents[i] for m, a in zip(multiplicities, atoms))
             for i in range(len(spec.class_set))]
-    check_factor_against_library(path, ",".join(map(str, exps)))
-
-
-# factor reports against the report as it was built before its rows came
-# straight from the factorization table and lost their version-2 fields
-# (factor_report_before)
-
-
-def factor_reports(path, sequence):
-    """The machine report of ``factor`` and the lines of its human report
-    less the timing line."""
-    code, machine = run_redirected("factor", "--spec", str(path), "--sequence", sequence,
-                                   "--machine")
-    assert code == 0
-    code, human = run_redirected("factor", "--spec", str(path), "--sequence", sequence)
-    assert code == 0
-    return machine, human_lines(human)
-
-
-def assert_factor_reports_as_before(path, sequence):
-    """The machine report is the version-2 report built the old way, less the
-    fields version 3 dropped, byte for byte; the human lines are the ones
-    version 2 printed from its ``display`` fields."""
-    machine, human = factor_reports(path, sequence)
-    _, labels = load_spec(path)
-
-    def payload(spec, seq, budget):
-        return factor_payload_before(spec, labels, seq, budget)
-    with mock.patch.object(cli, "_factor_payload", payload):
-        code, before = run_redirected("factor", "--spec", str(path), "--sequence", sequence,
-                                      "--machine")
-    assert code == 0
-    before = json.loads(before)
-    assert machine == json.dumps(v3_of_v2(before), sort_keys=True, separators=(",", ":")) + "\n"
-    assert human == ["command: factor", *factor_lines_v2(before["results"])]
+    check_factor_report(path, ",".join(map(str, exps)))
 
 
 FACTOR_REPORT_GROUPS = (
@@ -842,19 +853,11 @@ def specs_with_zero_sums(draw):
 
 @settings(max_examples=300)
 @given(case=specs_with_zero_sums())
-def test_factor_reports_as_before_on_generated_class_sets(tmp_path_factory, case):
+def test_factor_report_matches_search_on_generated_class_sets(tmp_path_factory, case):
     spec, sequence = case
     path = tmp_path_factory.getbasetemp() / "factor_report_spec.json"
     path.write_text(json.dumps(spec))
-    assert_factor_reports_as_before(path, sequence)
-
-
-@pytest.mark.parametrize("n, target", B_ZN_FACTOR_TARGETS)
-def test_factor_reports_as_before_on_benchmark_targets(tmp_path, n, target):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [n]},
-                                "classes": [[k] for k in range(1, n)]}))
-    assert_factor_reports_as_before(path, ",".join(map(str, target)))
+    check_factor_report(path, sequence)
 
 
 def test_factor_budget_on_a_benchmark_target(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -8,11 +9,10 @@ from strongatoms.abgroup import (
     INFINITE,
     FinGenAbelianGroup,
     abelian_groups_of_order,
-    kernel_lattice,
-    positive_kernel_vector,
 )
 from strongatoms.errors import AtomNotInSet, BudgetExceeded
 from strongatoms.krull import (
+    AbsirredSearch,
     KrullSpec,
     RepeatedClassWitness,
     all_irreducibles_absirred,
@@ -35,13 +35,14 @@ from strongatoms.zsm import (
     vector_factorizations,
 )
 
-from absirred_search_before_elimination import (
-    exists_absirred_nonprime_before_elimination,
-    is_absirred_kernel_before_elimination,
+from conftest import (
+    atom_product,
+    first_absirred_family,
+    kernel_criterion,
+    rational_rank,
+    small_families,
 )
-from conftest import atom_product, small_families
 from factorization_search import next_index_vector_factorizations, search_power_absirred
-from rational_relations_before import rational_relations
 
 C2 = FinGenAbelianGroup.cyclic(2)
 C3 = FinGenAbelianGroup.cyclic(3)
@@ -112,32 +113,37 @@ def test_is_absirred_kernel_mixed_sign_families():
     z5 = FinGenAbelianGroup.free(5)
     family = [z5.element(col) for col in zip(*rows)]
     relation = (4085124, -2941318, -1786461, -3832774, -2078712, 5573939)
-    assert rational_relations(z5, family) in ([relation], [tuple(-x for x in relation)])
+    assert_spans_the_relations(rows, relation)
     assert not is_absirred_kernel(z5, family)
 
     row_perm, col_perm = (3, 0, 4, 2, 1), (5, 2, 0, 4, 1, 3)
     image_rows = [[-rows[i][j] for j in col_perm] for i in row_perm]
     image = [z5.element(col) for col in zip(*image_rows)]
-    permuted = tuple(relation[j] for j in col_perm)
-    assert rational_relations(z5, image) in ([permuted], [tuple(-x for x in permuted)])
+    assert_spans_the_relations(image_rows, tuple(relation[j] for j in col_perm))
     assert not is_absirred_kernel(z5, image)
 
 
-def snf_kernel_criterion(group, family):
-    """The criterion decided as it first was: a nonnegative relation from
-    positive_kernel_vector, and an empty kernel lattice for each subfamily
-    omitting one member."""
-    if positive_kernel_vector(group, family) is None:
-        return False
-    subs = (family[:i] + family[i + 1:] for i in range(len(family)))
-    return not any(sub and kernel_lattice(group, sub) for sub in subs)
+def assert_spans_the_relations(rows, relation):
+    """``relation`` is a primitive integer relation of the columns of
+    ``rows`` and, the matrix having rank one less than its column count,
+    spans all of them."""
+    assert all(sum(x * a for x, a in zip(relation, row)) == 0 for row in rows)
+    assert rational_rank(rows) == len(relation) - 1
+    assert math.gcd(*relation) == 1
 
 
 @settings(max_examples=300)
 @given(small_families())
-def test_is_absirred_kernel_matches_snf_route(case):
+def test_is_absirred_kernel_matches_rank_criterion(case):
     group, family = case
-    assert is_absirred_kernel(group, family) == snf_kernel_criterion(group, family)
+    assert is_absirred_kernel(group, family) == kernel_criterion(family)
+
+
+@settings(max_examples=400)
+@given(small_families(max_members=7, amp=3, torsions=((), (2,), (3,), (2, 2), (4,))))
+def test_is_absirred_kernel_matches_rank_criterion_on_larger_families(case):
+    group, family = case
+    assert is_absirred_kernel(group, family) == kernel_criterion(family)
 
 
 def test_witness_non_absirred_examples():
@@ -347,18 +353,14 @@ def krull_specs(draw):
 
 @settings(max_examples=400)
 @given(krull_specs())
-def test_absirred_search_matches_search_before_elimination(case):
+def test_absirred_search_matches_class_multiset_enumeration(case):
+    # the walk over sets of classes finds the first class multiset, by size
+    # and then lexicographically, that meets the criterion
     spec, bound = case
-    assert (exists_absirred_nonprime(spec, bound)
-            == exists_absirred_nonprime_before_elimination(spec, bound))
-
-
-@settings(max_examples=400)
-@given(small_families(max_members=7, amp=3, torsions=((), (2,), (3,), (2, 2), (4,))))
-def test_is_absirred_kernel_matches_relations_route(case):
-    group, family = case
-    assert (is_absirred_kernel(group, family)
-            == is_absirred_kernel_before_elimination(group, family))
+    caps = spec.capped_mult()
+    witness = first_absirred_family(spec, bound)
+    assert exists_absirred_nonprime(spec, bound) == AbsirredSearch(
+        witness is not None, witness, bound >= sum(caps), bound, caps)
 
 
 def test_classify_scenarios():

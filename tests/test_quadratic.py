@@ -1,11 +1,10 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from strongatoms import quadratic
-from strongatoms.abgroup import DEFAULT_NODE_BUDGET
 from strongatoms.errors import BudgetExceeded, ZeroDivisor, ZeroOrUnit
 from strongatoms.quadratic import (
     QuadAbsirredResult,
@@ -244,10 +243,16 @@ def per_element_half_factorial_check(ring, max_norm):
         for z in elements_of_norm(ring, m):
             if z != canonical_associate(z):
                 continue
-            lengths = {len(atoms) for _, atoms in quad_factorizations(ring, z)}
-            if len(lengths) != 1:
+            if len(factorization_lengths(ring, z)) != 1:
                 return False, z
     return True, None
+
+
+@lru_cache(maxsize=None)
+def factorization_lengths(ring, z):
+    """The lengths of z's factorizations, cached: the scans of one ring to
+    different bounds list the same elements."""
+    return frozenset(len(atoms) for _, atoms in quad_factorizations(ring, z))
 
 
 @settings(max_examples=100)
@@ -339,88 +344,29 @@ def test_irreducible_divisor_sieve_matches_former_list(d):
             assert quad_is_irreducible(ring, z) == reference_is_irreducible(ring, z)
 
 
-@pytest.mark.parametrize("d", POOL_D)
-def test_brute_absirred_matches_former_list(d, monkeypatch):
-    ring = QuadRing(d)
-    # the benchmark's input: the first irreducible among a few small elements
-    z = next(z for z in (QuadInt(3, 0), QuadInt(2, 1), QuadInt(1, 1), QuadInt(5, 0),
-                         QuadInt(3, 1), QuadInt(7, 0), QuadInt(3, 2))
-             if reference_is_irreducible(ring, z))
-    got = quad_brute_absirred(ring, z, 3)
-    with monkeypatch.context() as patched:
-        patched.setattr(quadratic, "_irreducible_divisors", reference_irreducible_divisors)
-        assert quad_brute_absirred(ring, z, 3) == got
-    if d == -1:
-        # 3 and 3i are both canonical, so 3 = -i * 3i reads as a second factorization
-        assert (got.absolutely_irreducible, got.n) == (False, 1)
-
-
-def reference_half_factorial_check(ring, max_norm, *, budget=DEFAULT_NODE_BUDGET):
-    """The former scan on QuadInt elements, dict-keyed tables and one exact
-    division per candidate; returns its result and the divisions it made."""
-    absd = -ring.d
-    by_norm = {}
-    for a in range(math.isqrt(max(max_norm, 0)) + 1):
-        bmax = math.isqrt((max_norm - a * a) // absd)
-        for b in range(1 if a == 0 else -bmax, bmax + 1):
-            n = a * a + absd * b * b
-            if n >= 2:
-                by_norm.setdefault(n, []).append(QuadInt(a, b))
-    lengths = {}
-    # divisor_norms[n]: the norms of irreducibles found so far that properly divide n
-    divisor_norms = {n: [] for n in by_norm}
-    irreducibles = {}
-    divisions = 0
-    for n in sorted(by_norm):
-        for z in by_norm[n]:
-            mask = 0
-            for m in divisor_norms[n]:
-                for w in irreducibles[m]:
-                    divisions += 1
-                    if divisions > budget:
-                        raise BudgetExceeded(f"half-factorial scan exceeded {budget} divisions")
-                    q = ring.exact_divide(z, w)
-                    if q is not None:
-                        mask |= lengths[canonical_associate(q)] << 1
-            if not mask:
-                mask = 0b10
-                irreducibles.setdefault(n, []).append(z)
-            elif mask & (mask - 1):
-                return (False, z), divisions
-            lengths[z] = mask
-        if n in irreducibles:
-            for multiple in range(2 * n, max_norm + 1, n):
-                if multiple in divisor_norms:
-                    divisor_norms[multiple].append(n)
-    return (True, None), divisions
-
-
-def with_pool_bounds(test):
-    """Add an example for every pool ring at the benchmark's bound (|d| + 16)^2."""
-    for d in POOL_D:
-        test = example(d, (abs(d) + 16) ** 2)(test)
-    return test
-
-
 @settings(max_examples=100)
 @given(st.sampled_from(SQUAREFREE_D), st.integers(0, 3000))
-@with_pool_bounds
-@example(-21, 1369)
-@example(-33, 2401)
-@example(-57, 5329)
-def test_half_factorial_matches_quadint_reference(d, max_norm):
+def test_half_factorial_table_matches_per_element_scan_to_norm_3000(d, max_norm):
     ring = QuadRing(d)
-    expected, least = reference_half_factorial_check(ring, max_norm)
-    assert half_factorial_check(ring, max_norm) == expected
-    # the same divisions in the same order: both pass at `least` and raise just below it
-    assert half_factorial_check(ring, max_norm, budget=least) == expected
-    assert reference_half_factorial_check(ring, max_norm, budget=least)[0] == expected
-    if least:
-        message = f"half-factorial scan exceeded {least - 1} divisions"
-        with pytest.raises(BudgetExceeded, match=message):
-            half_factorial_check(ring, max_norm, budget=least - 1)
-        with pytest.raises(BudgetExceeded, match=message):
-            reference_half_factorial_check(ring, max_norm, budget=least - 1)
+    assert half_factorial_check(ring, max_norm) == per_element_half_factorial_check(ring, max_norm)
+
+
+# the divisions the half-factorial scan makes on each pool ring, in POOL_D's
+# order, at the benchmark's bound (|d| + 16)^2
+HALF_FACTORIAL_DIVISIONS = (2048, 1036, 1069, 797, 725, 706, 303, 237, 477, 714,
+                            449, 508, 248, 677, 1438, 988, 873, 1003, 459, 1000,
+                            1038, 1155, 1420, 1764, 1615, 1399, 1407, 1510, 1032)
+
+
+@pytest.mark.parametrize("d, divisions", zip(POOL_D, HALF_FACTORIAL_DIVISIONS))
+def test_half_factorial_divisions_at_pool_bounds(d, divisions):
+    ring = QuadRing(d)
+    max_norm = (abs(d) + 16) ** 2
+    expected = per_element_half_factorial_check(ring, max_norm)
+    assert half_factorial_check(ring, max_norm, budget=divisions) == expected
+    with pytest.raises(BudgetExceeded) as raised:
+        half_factorial_check(ring, max_norm, budget=divisions - 1)
+    assert str(raised.value) == f"half-factorial scan exceeded {divisions - 1} divisions"
 
 
 def reference_brute_absirred(ring, z, n_max):
@@ -438,14 +384,20 @@ def reference_brute_absirred(ring, z, n_max):
 
 @pytest.mark.parametrize("d", POOL_D)
 def test_brute_absirred_matches_per_power_sieves(d):
+    # small elements, and 7 for the benchmark's input: the first irreducible
+    # among 3, 2 + sqrt(d), 1 + sqrt(d), 5, 3 + sqrt(d), 7, 3 + 2 sqrt(d)
     ring = QuadRing(d)
     small = [QuadInt(a, b) for a in range(6) for b in range(-2, 3) if ring.norm(QuadInt(a, b)) > 1]
-    for z in small:
+    for z in small + [QuadInt(7, 0)]:
         if not quad_is_irreducible(ring, z):
             with pytest.raises(ZeroOrUnit):
                 quad_brute_absirred(ring, z, 2)
             continue
         assert quad_brute_absirred(ring, z, 3) == reference_brute_absirred(ring, z, 3)
+    if d == -1:
+        # 3 and 3i are both canonical, so 3 = -i * 3i reads as a second factorization
+        got = quad_brute_absirred(ring, QuadInt(3, 0), 3)
+        assert (got.absolutely_irreducible, got.n) == (False, 1)
     for z in (QuadInt(0, 0), QuadInt(1, 0), QuadInt(-1, 0)):
         with pytest.raises(ZeroOrUnit):
             quad_brute_absirred(ring, z, 2)

@@ -34,11 +34,7 @@ from strongatoms.zsm import (
 )
 
 from conftest import B_ZN_FACTOR_TARGETS, atom_product
-from factor_report_before import vector_factorizations_before
-from factorization_search import (
-    next_index_vector_factorizations,
-    recursive_vector_factorizations,
-)
+from factorization_search import next_index_vector_factorizations
 
 Z2 = FinGenAbelianGroup.free(2)
 Z1 = FinGenAbelianGroup.free(1)
@@ -527,11 +523,11 @@ def factorization_systems(draw):
 
 @settings(max_examples=400)
 @given(factorization_systems())
-def test_vector_factorizations_matches_recursive_search(system):
+def test_vector_factorizations_matches_next_index_search(system):
     target, atoms = system
     full = vector_factorizations(target, atoms)
     for limit in (None, 1, 2):
-        assert recursive_vector_factorizations(target, atoms, limit) == full[:limit]
+        assert next_index_vector_factorizations(target, atoms, limit) == full[:limit]
 
 
 @settings(max_examples=400)
@@ -542,36 +538,21 @@ def test_vector_length_mask_matches_listed_lengths(system):
     assert mask == sum(1 << k for k in {len(f) for f in vector_factorizations(target, atoms)})
 
 
-@settings(max_examples=400)
+@settings(max_examples=1200)
 @given(factorization_systems(), st.randoms(use_true_random=False))
-def test_vector_factorizations_matches_next_index_search(system, rng):
+def test_vector_factorizations_matches_next_index_search_on_reordered_atoms(system, rng):
+    # atoms as drawn, in lexicographic order as an AtomSet keeps them, and
+    # shuffled with a duplicate, where the least budget names itself one below
     target, atoms = system
     shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
     rng.shuffle(shuffled)
-    for vectors in (atoms, shuffled):
+    for vectors in (atoms, sorted(atoms), shuffled):
         full = vector_factorizations(target, vectors)
-        assert full == next_index_vector_factorizations(target, vectors)
-        for limit in (1, 2, 3, len(full) + 1):
-            assert (next_index_vector_factorizations(target, vectors, limit)
-                    == full[:limit])
-
-
-# the B(Z/n \ 0) targets of the benchmark's lengths workload
-LENGTHS_WORKLOAD_TARGETS = [
-    (4, (16, 16, 16)), (5, (10, 10, 10, 10)), (5, (8, 8, 8, 8)), (5, (10, 9, 10, 8)),
-    (6, (6, 6, 6, 6, 6)), (6, (5, 6, 4, 6, 5)), (6, (6, 5, 6, 5, 6)),
-    (7, (4, 4, 4, 4, 4, 4)), (7, (3, 4, 3, 4, 3, 2)), (7, (3, 3, 3, 3, 3, 3)),
-]
-
-
-@pytest.mark.parametrize("n, target", LENGTHS_WORKLOAD_TARGETS)
-def test_vector_factorizations_matches_next_index_search_on_cyclic(n, target):
-    group = FinGenAbelianGroup.cyclic(n)
-    cs = ClassSet(group, tuple(group.element((k,)) for k in range(1, n)))
-    vectors = [a.exponents for a in enumerate_atoms(cs)]
-    full = vector_factorizations(target, vectors)
-    assert full == next_index_vector_factorizations(target, vectors)
-    assert vector_length_mask(target, vectors) == sum(1 << k for k in {len(f) for f in full})
+        for limit in (None, 1, 2, 3, len(full) + 1):
+            assert next_index_vector_factorizations(target, vectors, limit) == full[:limit]
+    if any(target):
+        assert_least_budget(lambda b: vector_factorizations(target, shuffled, budget=b),
+                            "factorization table exceeded {} nodes")
 
 
 def test_vector_factorizations_many_first_class_atoms():
@@ -600,173 +581,6 @@ def test_vector_factorizations_budget_bounds_merged_entries():
     with pytest.raises(BudgetExceeded, match="factorization table exceeded 1000 nodes"):
         vector_factorizations((2,) * m, atoms, budget=1000)
     assert len(vector_factorizations((2,) * 8, [a[:8] for a in atoms[:16]])) == 2 ** 8
-
-
-def tuple_blocks(rem, j, candidates, atom_vectors, supports, nodes, budget):
-    """Reference: the former block listing on exponent tuples, which reads
-    each candidate's copy count from per-class quotients over its support."""
-    out = []
-    res = list(rem)
-    last = len(candidates) - 1
-    stack = []                            # (position, copies), positions increasing
-    pos = 0                               # the next candidate taken is at least this
-    while True:
-        if not res[j]:
-            out.append((tuple(candidates[p] for p, c in stack for _ in range(c)),
-                        tuple(res)))
-        else:
-            c = 0
-            while pos <= last:
-                i = candidates[pos]
-                v = atom_vectors[i]
-                c = min(res[s] // v[s] for s in supports[i])
-                if pos == last and c * v[j] != res[j]:
-                    c = 0
-                if c:
-                    break
-                pos += 1
-            if c:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-                for s in supports[i]:
-                    res[s] -= c * v[s]
-                stack.append((pos, c))
-                pos += 1
-                continue
-        while stack:
-            p, c = stack.pop()
-            i = candidates[p]
-            v = atom_vectors[i]
-            if p == last:
-                for s in supports[i]:
-                    res[s] += c * v[s]
-                continue
-            for s in supports[i]:
-                res[s] += v[s]
-            if c > 1:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-                stack.append((p, c - 1))
-            pos = p + 1
-            break
-        else:
-            return out, nodes
-
-
-def tuple_supports(by_first, atom_vectors):
-    return {i: tuple(j for j, x in enumerate(atom_vectors[i]) if x)
-            for fitting in by_first for i in fitting}
-
-
-def tuple_all_factorizations(target, atom_vectors, budget):
-    """Reference: the former one-pass block table keyed by exponent tuples,
-    each state's list sorted, entries and all."""
-    by_first = zsm._packed(target, atom_vectors)[3]
-    supports = tuple_supports(by_first, atom_vectors)
-    table = {(0,) * len(target): [()]}
-    stack = [(target, None)]
-    nodes = 0
-    while stack:
-        rem, blocks = stack[-1]
-        if blocks is None:
-            if rem in table:
-                stack.pop()
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-            j = next(j for j, r in enumerate(rem) if r)
-            blocks, nodes = tuple_blocks(rem, j, by_first[j], atom_vectors, supports,
-                                         nodes, budget)
-            stack[-1] = (rem, blocks)
-            pending = [(c, None) for _, c in blocks if c not in table]
-            if pending:
-                stack.extend(pending)
-                continue
-        nodes += sum(len(table[c]) for _, c in blocks)
-        if nodes > budget:
-            raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-        table[rem] = sorted(tuple(sorted(f + block))
-                            for block, c in blocks for f in table[c])
-        stack.pop()
-    return table[target]
-
-
-def tuple_vector_length_mask(target, atom_vectors, budget):
-    """Reference: the former length table keyed by exponent tuples."""
-    by_first = [[atom_vectors[i] for i in fitting]
-                for fitting in zsm._packed(target, atom_vectors)[3]]
-    table = {(0,) * len(target): 1}
-    stack = [(tuple(target), None)]
-    while stack:
-        rem, children = stack[-1]
-        if children is None:
-            if rem in table:
-                stack.pop()
-                continue
-            j = next(j for j, r in enumerate(rem) if r)
-            children = [tuple(r - x for r, x in zip(rem, a)) for a in by_first[j]
-                        if all(x <= r for x, r in zip(a, rem))]
-            stack[-1] = (rem, children)
-            pending = [(c, None) for c in children if c not in table]
-            if pending:
-                stack.extend(pending)
-                continue
-        mask = 0
-        for c in children:
-            mask |= table[c]
-        table[rem] = mask << 1
-        if len(table) > budget:
-            raise BudgetExceeded(f"length table exceeded {budget} states")
-        stack.pop()
-    return table[tuple(target)]
-
-
-def two_pass_all_factorizations(target, atom_vectors, budget):
-    """Reference: the former block table, filled in two passes (list every
-    state's blocks, then merge children first and free each list after its
-    last use)."""
-    by_first = zsm._packed(target, atom_vectors)[3]
-    supports = tuple_supports(by_first, atom_vectors)
-    zero = (0,) * len(target)
-    blocks = {zero: []}
-    uses = {}
-    order = []
-    stack = [(target, False)]
-    nodes = 0
-    while stack:
-        rem, listed = stack.pop()
-        if listed:
-            order.append(rem)
-            continue
-        if rem in blocks:
-            continue
-        j = next(j for j, r in enumerate(rem) if r)
-        nodes += 1
-        blocks[rem], nodes = tuple_blocks(rem, j, by_first[j], atom_vectors, supports,
-                                          nodes, budget)
-        stack.append((rem, True))
-        for _, c in blocks[rem]:
-            uses[c] = uses.get(c, 0) + 1
-            if c not in blocks:
-                stack.append((c, False))
-    table = {zero: [()]}
-    for rem in order:
-        entries = []
-        for block, c in blocks.pop(rem):
-            below = table[c]
-            nodes += len(below)
-            if nodes > budget:
-                raise BudgetExceeded(f"factorization table exceeded {budget} nodes")
-            entries.extend([tuple(sorted(f + block)) for f in below])
-            uses[c] -= 1
-            if not uses[c]:
-                del table[c]
-        entries.sort()
-        table[rem] = entries
-    return table[target]
 
 
 def least_budget(search):
@@ -799,49 +613,23 @@ def assert_least_budget(search, message):
     return budget
 
 
-@settings(max_examples=400)
-@given(factorization_systems(), st.randoms(use_true_random=False))
-def test_all_factorizations_matches_two_pass_table(system, rng):
-    target, atoms = system
-    shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
-    rng.shuffle(shuffled)
-    for vectors in (atoms, shuffled):
-        full = vector_factorizations(target, vectors)
-        assert two_pass_all_factorizations(target, vectors, DEFAULT_NODE_BUDGET) == full
-        if any(target):
-            assert_least_budget(lambda b: vector_factorizations(target, vectors, budget=b),
-                                "factorization table exceeded {} nodes")
-
-
-@settings(max_examples=400)
-@given(factorization_systems(), st.randoms(use_true_random=False))
-def test_vector_factorizations_matches_table_that_sorted_every_entry(system, rng):
-    # atoms in lexicographic order, as an AtomSet keeps them, and shuffled
-    # with a duplicate: entries come out ascending, or are sorted once
-    target, atoms = system
-    ordered = sorted(atoms)
-    shuffled = ordered + [ordered[rng.randrange(len(ordered))]]
-    rng.shuffle(shuffled)
-    for vectors in (ordered, shuffled):
-        assert vector_factorizations(target, vectors) == vector_factorizations_before(
-            target, vectors)
-
-
 # least budgets of the factorization table on the factor targets of the
-# lengths benchmark workload, as counted when every entry was sorted again:
-# listing the entries as the table builds them walks no other node
+# lengths benchmark workload: listing the entries as the table builds them
+# walks no other node than when every entry was sorted again
 B_ZN_FACTOR_LEAST_BUDGETS = (414, 9338, 3034, 5952, 4624, 2124, 2941, 8594, 1501, 1088)
 
 
 @pytest.mark.parametrize("n, target, budget", [
     (n, target, budget)
     for (n, target), budget in zip(B_ZN_FACTOR_TARGETS, B_ZN_FACTOR_LEAST_BUDGETS)])
-def test_factorization_table_nodes_on_benchmark_targets(n, target, budget):
+def test_factorization_table_on_benchmark_targets(n, target, budget):
     group = FinGenAbelianGroup.cyclic(n)
     vectors = minimal_zero_sum_vectors(group, [group.element((k,)) for k in range(1, n)])
     search = lambda b: vector_factorizations(target, vectors, budget=b)
     assert assert_least_budget(search, "factorization table exceeded {} nodes") == budget
-    assert search(budget) == vector_factorizations_before(target, vectors)
+    full = search(budget)
+    assert full == next_index_vector_factorizations(target, vectors)
+    assert vector_length_mask(target, vectors) == sum(1 << k for k in {len(f) for f in full})
 
 
 @st.composite
@@ -879,25 +667,57 @@ def wide_factorization_systems(draw):
 
 @settings(max_examples=300)
 @given(wide_factorization_systems(), st.randoms(use_true_random=False))
-def test_packed_tables_match_tuple_tables(system, rng):
+def test_packed_tables_match_next_index_search(system, rng):
     target, atoms = system
     shuffled = atoms + [atoms[rng.randrange(len(atoms))]]
     rng.shuffle(shuffled)
     for vectors in (atoms, shuffled):
-        # the factorization table counts its nodes unlike the reference
         factor = lambda b: vector_factorizations(target, vectors, budget=b)
-        assert (factor(DEFAULT_NODE_BUDGET)
-                == tuple_all_factorizations(target, vectors, DEFAULT_NODE_BUDGET))
         lengths = lambda b: vector_length_mask(target, vectors, budget=b)
-        budget = least_budget(lengths)
-        assert lengths(budget) == tuple_vector_length_mask(target, vectors, budget)
+        full = factor(DEFAULT_NODE_BUDGET)
+        assert full == next_index_vector_factorizations(target, vectors)
+        assert lengths(DEFAULT_NODE_BUDGET) == sum(1 << k for k in {len(f) for f in full})
         if any(target):
             assert_least_budget(factor, "factorization table exceeded {} nodes")
-            message = f"length table exceeded {budget - 1} states"
-            for search in (lengths, lambda b: tuple_vector_length_mask(target, vectors, b)):
-                with pytest.raises(BudgetExceeded) as raised:
-                    search(budget - 1)
-                assert str(raised.value) == message
+            assert_least_budget(lengths, "length table exceeded {} states")
+
+
+# (classes, target, atoms, least factorization budget, least length budget):
+# wide systems drawn for test_packed_tables_match_next_index_search, with
+# classes and atoms written sparsely: the most nodes on one, two and three
+# classes, the most on 30 classes or more, and fields filled up to their
+# guard bit (2^31 - 1, 2^37 - 1)
+WIDE_SYSTEM_BUDGETS = [
+    (1, {0: 3638}, [{0: 642}, {0: 214}, {0: 428}, {0: 428}, {0: 214}, {0: 642}], 4880, 18),
+    (2, {0: 2558772, 1: 26},
+     [{0: 284308}, {0: 568616, 1: 6}, {1: 2}, {0: 284308}, {0: 568616, 1: 6}, {0: 284308},
+      {0: 568616, 1: 6}], 1172, 39),
+    (3, {0: 555720, 1: 2493, 2: 12298},
+     [{0: 50520, 1: 277, 2: 1118}, {0: 101040, 1: 277, 2: 1118}, {0: 151560, 1: 277, 2: 2236},
+      {0: 50520, 1: 554, 2: 3354}, {0: 151560, 1: 554, 2: 1118}, {0: 50520, 1: 277, 2: 1118},
+      {0: 101040, 1: 277, 2: 1118}], 955, 203),
+    (33, {4: 2, 7: 15, 9: 5, 12: 10, 20: 2, 22: 6, 24: 4, 31: 4},
+     [{7: 3, 9: 1, 12: 2}, {7: 3, 9: 1, 12: 2}, {7: 3, 9: 1, 12: 2}, {20: 1, 24: 2, 31: 2},
+      {7: 3, 9: 1, 12: 2}, {4: 1, 22: 3}, {7: 3, 9: 1, 12: 2}], 381, 10),
+    (34, {4: 708, 6: 84240, 11: 2115, 20: 82062, 24: 2 ** 37 - 1, 33: 127746},
+     [{4: 236, 20: 41031}, {15: 25014}, {4: 236, 20: 41031}, {9: 5273},
+      {6: 42120, 11: 705, 33: 42582}, {4: 236, 11: 705, 33: 42582},
+      {4: 236, 11: 705, 33: 42582}], 20, 13),
+    (31, {5: 2 ** 31 - 1, 7: 580080, 10: 9926, 15: 3, 20: 2 ** 31 - 1, 23: 576, 29: 1650,
+          30: 8565},
+     [{29: 825}, {5: 2 ** 31 - 1, 10: 9926, 23: 576}, {3: 10362, 16: 784, 17: 1984780482},
+      {7: 290040}, {5: 2 ** 31 - 1, 10: 9926, 23: 576}, {15: 3, 20: 2 ** 31 - 1, 30: 8565},
+      {29: 825}], 22, 7),
+]
+
+
+@pytest.mark.parametrize("m, target, atoms, factor_budget, length_budget", WIDE_SYSTEM_BUDGETS)
+def test_packed_table_budgets_on_wide_systems(m, target, atoms, factor_budget, length_budget):
+    target, *atoms = (tuple(v.get(j, 0) for j in range(m)) for v in (target, *atoms))
+    assert assert_least_budget(lambda b: vector_factorizations(target, atoms, budget=b),
+                               "factorization table exceeded {} nodes") == factor_budget
+    assert assert_least_budget(lambda b: vector_length_mask(target, atoms, budget=b),
+                               "length table exceeded {} states") == length_budget
 
 
 def test_packed_tables_on_zero_and_one_class_targets():
@@ -908,7 +728,7 @@ def test_packed_tables_on_zero_and_one_class_targets():
         assert vector_length_mask(zero, atoms, budget=0) == 1
     parts = [(4,), (1,), (3,), (2,)]
     full = vector_factorizations((6,), parts)
-    assert full == tuple_all_factorizations((6,), parts, DEFAULT_NODE_BUDGET)
+    assert full == next_index_vector_factorizations((6,), parts)
     assert len(full) == 9
     assert vector_length_mask((6,), parts) == 0b1111100
     wide = 2 ** 40 - 1
@@ -920,7 +740,7 @@ def test_packed_tables_on_zero_and_one_class_targets():
     # every count of copies from 0 to 21, each stepped down to 1
     for n in range(64):
         assert (vector_factorizations((n,), [(3,), (1,)])
-                == tuple_all_factorizations((n,), [(3,), (1,)], DEFAULT_NODE_BUDGET))
+                == next_index_vector_factorizations((n,), [(3,), (1,)]))
 
 
 def test_block_listing_finds_large_counts_in_few_subtractions():
