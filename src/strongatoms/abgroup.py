@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product, zip_longest
+from itertools import combinations_with_replacement, product, zip_longest
 from operator import add, ge, mul
 from typing import Iterable, Iterator, Sequence as Seq
 
@@ -535,8 +535,9 @@ def minimal_nonneg_kernel(columns: Seq[tuple[int, ...]],
     additions.
     """
     m = len(columns)
-    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in columns)
-            for ci in columns]
+    gram = [[0] * m for _ in columns]
+    for i, j in combinations_with_replacement(range(m), 2):     # each pair once
+        gram[i][j] = gram[j][i] = sum(map(mul, columns[i], columns[j]))
     rows = list(zip(*columns))
     # the columns with a positive / a negative entry, per row, as bitmasks
     pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in rows]

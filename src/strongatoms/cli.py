@@ -5,7 +5,8 @@ Human-readable tables by default; ``--machine`` switches to JSON with sorted
 keys, which is the stability contract (timing is shown only in human mode so
 machine reports are byte-identical across runs).  A machine report is exactly
 ``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline:
-one compact, ASCII-only line from the standard library's C encoder.  Report
+one compact, ASCII-only line from the standard library's C encoder (called
+with ``check_circular=False``: a report is a fresh tree).  Report
 version 3 gives every sequence (an atom, or the sequence factored) as its
 ``exponents`` alone, beside the verdicts on it; human mode derives each
 display, length and support from the exponents and ``inputs.spec.labels``
@@ -215,7 +216,7 @@ def _verify_payload():
 
 def _emit(report: dict, machine: bool, elapsed: float):
     if machine:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False))
         return
     print(f"command: {report['command']}")
     results = report["results"]

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -809,6 +810,47 @@ def test_factor_report_on_benchmark_targets(tmp_path, n, target):
     path.write_text(json.dumps({"group": {"free_rank": 0, "torsion": [n]},
                                 "classes": [[k] for k in range(1, n)]}))
     check_factor_report_bytes(path, ",".join(map(str, target)), (n, target))
+
+
+def signed_basis_classes(n):
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    return basis + [[-x for x in b] for b in basis] + [[1] * n, [-1] * n]
+
+
+# the specs of ``ATOMS_REPORT_SHA256`` other than the bundled ``cyclic3_full``
+ATOMS_REPORT_SPECS = {
+    "C2^4 minus 0": {"group": {"free_rank": 0, "torsion": [2, 2, 2, 2]},
+                     "classes": [list(c) for c in itertools.product(range(2), repeat=4)
+                                 if any(c)]},
+    "Z/12 minus 0": {"group": {"free_rank": 0, "torsion": [12]},
+                     "classes": [[k] for k in range(1, 12)]},
+    "Z/16 seven classes": {"group": {"free_rank": 0, "torsion": [16]},
+                           "classes": [[1], [3], [4], [6], [9], [12], [14]]},
+    "signed basis n=6": {"group": {"free_rank": 6, "torsion": []},
+                         "classes": signed_basis_classes(6)},
+}
+
+# SHA-256 of the machine report of ``atoms``: four class sets searched for
+# zero-sum-free sequences and one by the completion search
+ATOMS_REPORT_SHA256 = {
+    "C2^4 minus 0": "059169d3dde53ddab0d81f3a9393903e5ce4ee00e58e3816137554b195b3fbdf",
+    "Z/12 minus 0": "c14928839b14820d97cf759b6f307c9e5a4ffaa7f50da1676cea230482b7cb82",
+    "Z/16 seven classes": "b96bd1c0762f427d8c8dca4c1fe25a80776dbf37da0087eab8cedb08116bb669",
+    "signed basis n=6": "a4acf48cbdff40bb73c7a30bb289ef120bb1f9b9b8622f7a19aaadbe7e71d122",
+    "cyclic3_full": "65eeeb7266c557e070903bd18ff840284b2e5fecf8551b93f0bb9d7b9b271546",
+}
+
+
+@pytest.mark.parametrize("key", ATOMS_REPORT_SHA256)
+def test_atoms_report_bytes(tmp_path, key):
+    path = SPECS_DIR / f"{key}.json"
+    if key in ATOMS_REPORT_SPECS:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(ATOMS_REPORT_SPECS[key]))
+    code, machine = run_redirected("atoms", "--spec", str(path), "--machine")
+    assert code == 0
+    assert_stdlib_encoded(machine)
+    assert hashlib.sha256(machine.encode()).hexdigest() == ATOMS_REPORT_SHA256[key]
 
 
 @pytest.mark.parametrize("name", ["cyclic3_full", "two_classes_one_doubled"])

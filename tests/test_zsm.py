@@ -280,11 +280,27 @@ def finite_value_lists(draw):
                                         for k in (0, 2, 2, 3, 0, 5)]))
 @example((FinGenAbelianGroup(1, (4,)), [FinGenAbelianGroup(1, (4,)).element((0, k))
                                         for k in (1, 1, 0, 3, 2)]))
+@example((FinGenAbelianGroup(0, (6,)), [FinGenAbelianGroup(0, (6,)).element((k,))
+                                        for k in (0, 4, 2, 0, 3)]))
+@example((FinGenAbelianGroup(0, (2, 4)), [FinGenAbelianGroup(0, (2, 4)).element(c)
+                                          for c in ((1, 1), (0, 2), (1, 1), (1, 2), (1, 1))]))
 def test_zero_sum_free_search_matches_completion(case):
     group, values = case
     m = len(values)
     want = sorted(s[:m] for s in minimal_nonneg_kernel(zero_sum_columns(group, values)))
     assert minimal_zero_sum_vectors(group, values) == want
+
+
+def test_zero_sum_free_search_budget_on_repeated_values():
+    # repeated values are searched once: the budget counts the zero-sum-free
+    # multisets over the distinct classes 1, 3, 5, 2 of Z/6, 26 whether or
+    # not they repeat, and the 12 atoms over those lift to 50 over positions
+    group = FinGenAbelianGroup.cyclic(6)
+    for ks, atoms in (((1, 3, 1, 5, 3, 2, 3), 50), ((1, 3, 5, 2), 12)):
+        values = [group.element((k,)) for k in ks]
+        with pytest.raises(BudgetExceeded, match="zero-sum-free search exceeded 25 nodes"):
+            minimal_zero_sum_vectors(group, values, budget=25)
+        assert len(minimal_zero_sum_vectors(group, values, budget=26)) == atoms
 
 
 @pytest.mark.parametrize("torsion, nodes", [((2, 2, 2, 2), 1380), ((12,), 1079)])
